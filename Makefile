@@ -2,7 +2,7 @@
 
 PY ?= python
 
-.PHONY: test test-fast bench bench-cache bench-engine bench-serve bench-overload bench-layout figures report profile chaos serve-chaos serve-health serve-overload verify verify-full fuzz calibrate examples clean
+.PHONY: test test-fast bench bench-cache bench-engine bench-serve bench-overload bench-layout bench-wall figures report profile chaos serve-chaos serve-health serve-overload verify verify-full fuzz calibrate examples clean
 
 test:            ## full test suite (incl. heavy example smoke tests)
 	$(PY) -m pytest tests/
@@ -28,9 +28,17 @@ bench-overload:  ## overload-shedding perf smoke (fails on interactive
                  ## sheds, goodput drops, or p99 regressions >25%)
 	$(PY) benchmarks/bench_overload.py --check
 
-bench-layout:    ## layout-autotuner perf smoke (fails on choice flips,
-                 ## coalescing regressions, or analytic/measured drift)
+bench-layout:    ## layout-autotuner perf smoke (fails when the estimator
+                 ## argmin flips a choice, on coalescing regressions, or on
+                 ## analytic/functional drift)
 	$(PY) benchmarks/bench_layout_autotune.py --quick --check
+
+bench-wall:      ## wall-clock benchmark: each workload once, end to end
+                 ## (perfbench/README.md; --trace 1 for per-layer metrics)
+	@for w in solve-mix serve-live serve-batch; do \
+	  echo "== $$w"; \
+	  $(PY) perfbench/run.py --workload $$w --seed 1 --seconds 10 \
+	    --trace 0 || exit 1; done
 
 figures:         ## regenerate every table/figure text artifact in benchmarks/results/
 	@cd benchmarks && for b in bench_*.py; do \

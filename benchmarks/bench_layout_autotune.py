@@ -9,15 +9,17 @@ wins) -- and records, per shape:
 * the global-memory transaction counts of the sequential vs the
   interleaved Thomas kernel (the coalescing ratio is the whole point
   of the layout),
-* the fitted :class:`~repro.analysis.layout_autotuner.LayoutModel`
-  prediction for every candidate, asserted bitwise-equal to the
-  measured functional simulation (the analytic path is exact on the
-  simulator; any drift is a broken estimator),
-* the autotuner's chosen ``(method, layout)``.
+* the analytic estimate of the Thomas kernel in both layouts,
+  asserted bitwise-equal to the measured functional simulation (the
+  analytic path is exact on the simulator; any drift is a broken
+  estimator),
+* the autotuner's chosen ``(method, layout)`` -- the argmin of that
+  estimator over the candidates.
 
 The committed baseline in ``benchmarks/results/layout_autotune.json``
 locks the choices and the coalescing ratios.  ``--update`` rewrites
-it; ``--check`` (the CI perf-smoke mode) exits nonzero when a choice
+it (the rewritten ``.txt`` shows the run as its own baseline);
+``--check`` (the CI perf-smoke mode) exits nonzero when a choice
 flips, a coalescing ratio regresses below 90% of baseline, or the
 analytic/measured equality breaks.  Everything runs on the modeled
 clock, so failures are real model changes, never machine noise.
@@ -39,7 +41,7 @@ import sys
 
 from _harness import RESULTS_DIR, emit, quiet, table
 
-from repro.analysis.layout_autotuner import fit_layout_model
+from repro.analysis.layout_autotuner import choose_layout
 from repro.analysis.timing import modeled_grid_timing
 from repro.gpusim import GTX280, estimate_ms
 from repro.kernels import run_thomas_batch
@@ -54,13 +56,7 @@ FULL_GRID = ((2048, 8), (1024, 16), (512, 32), (64, 64), (4, 256),
 QUICK_GRID = ((2048, 8), (64, 64), (1, 512))
 
 
-def _choose(model, num_systems, n):
-    from repro.analysis.layout_autotuner import choose_layout
-    return choose_layout(num_systems, n, model=model)
-
-
 def measure(grid) -> list[dict]:
-    model = fit_layout_model(GTX280)
     rows = []
     for num_systems, n in grid:
         systems = diagonally_dominant_fluid(num_systems, n, seed=0)
@@ -80,7 +76,7 @@ def measure(grid) -> list[dict]:
                              f"analytic {analytic!r} != "
                              f"measured {measured!r}")
 
-        choice = _choose(model, num_systems, n)
+        choice = choose_layout(num_systems, n, device=GTX280)
         rows.append({
             "num_systems": num_systems, "n": n,
             "tx_sequential": int(tx_seq), "tx_interleaved": int(tx_int),
@@ -100,10 +96,12 @@ def load_baseline() -> list[dict] | None:
         return None
 
 
-def build_report(grid, check: bool):
+def build_report(grid, check: bool, update: bool = False):
     with quiet():
         rows = measure(grid)
-    baseline = load_baseline()
+    # An --update run is the new baseline; compare against it, not
+    # against the file it is about to replace.
+    baseline = rows if update else load_baseline()
     base_by_shape = {(r["num_systems"], r["n"]): r
                      for r in (baseline or [])}
     failures = []
@@ -165,7 +163,8 @@ def main(argv=None) -> int:
     grid = QUICK_GRID if args.quick else FULL_GRID
     if args.update:
         grid = FULL_GRID               # the baseline locks the full grid
-    text, data, ok = build_report(grid, check=args.check)
+    text, data, ok = build_report(grid, check=args.check,
+                                  update=args.update)
     if args.update:
         emit("layout_autotune", text, data)
         print(f"baseline updated: {BASELINE_PATH}")
@@ -177,7 +176,7 @@ def main(argv=None) -> int:
 def test_layout_autotune_baseline(benchmark):
     text, data, ok = build_report(QUICK_GRID, check=True)
     assert ok, text
-    benchmark(lambda: _choose(fit_layout_model(GTX280), 2048, 8).method)
+    benchmark(lambda: choose_layout(2048, 8, device=GTX280).method)
 
 
 if __name__ == "__main__":

@@ -78,9 +78,12 @@ def load_baseline() -> dict | None:
         return None
 
 
-def build_report(check: bool) -> tuple[str, dict, bool]:
+def build_report(check: bool,
+                 update: bool = False) -> tuple[str, dict, bool]:
     current = measure()
-    baseline = load_baseline()
+    # An --update run is the new baseline; compare against it, not
+    # against the file it is about to replace.
+    baseline = current if update else load_baseline()
     rows, failures = [], []
     for cls, stats in current.items():
         base = (baseline or {}).get(cls)
@@ -117,7 +120,7 @@ def main(argv=None) -> int:
     ap.add_argument("--check", action="store_true",
                     help="fail if p99 regresses >25%% vs the baseline")
     args = ap.parse_args(argv)
-    text, data, ok = build_report(check=args.check)
+    text, data, ok = build_report(check=args.check, update=args.update)
     if args.update:
         emit("serve_latency", text, data)
         print(f"baseline updated: {BASELINE_PATH}")

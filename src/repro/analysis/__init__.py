@@ -18,9 +18,7 @@ from .cpumodel import CpuTimes, cpu_times, ge_ms, gep_ms, mt_ms, speedup
 from .device_study import FERMI_LIKE, DeviceComparison, compare_devices, occupancy_shift
 from .differential import (StepTiming, attributed_step_times,
                            differential_step_times, phase_breakdown)
-from .layout_autotuner import (CandidateFit, LayoutChoice, LayoutModel,
-                               choose_layout, default_layout_model,
-                               fit_layout_model)
+from .layout_autotuner import LayoutChoice, choose_layout
 from .trace import full_trace, phase_trace, step_trace
 from .roofline import (DeviceRoofs, RooflinePoint, device_roofs,
                        place_kernel, roofline_table)
@@ -42,6 +40,5 @@ __all__ = [
     "modeled_grid_timing", "timed_solve", "full_trace", "phase_trace",
     "step_trace", "DeviceRoofs", "RooflinePoint", "device_roofs",
     "place_kernel", "roofline_table",
-    "CandidateFit", "LayoutChoice", "LayoutModel", "choose_layout",
-    "default_layout_model", "fit_layout_model",
+    "LayoutChoice", "choose_layout",
 ]

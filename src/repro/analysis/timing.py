@@ -60,27 +60,32 @@ def timed_solve(name: str, systems: TridiagonalSystems, *,
                         transfer_ms=transfer)
 
 
+#: Input seed and system count of :func:`modeled_grid_timing`'s small
+#: simulation (per-block counters are data-independent, so neither
+#: moves a modeled millisecond).
+_SIM_SEED = 0
+_SIM_BLOCKS = 2
+
+
 def modeled_grid_timing(name: str, n: int, num_systems: int, *,
                         intermediate_size: int | None = None,
                         device: DeviceSpec = GTX280,
                         cost_model: CostModel | None = None,
                         pcie: PCIeModel | None = None,
-                        seed: int = 0,
-                        sim_blocks: int = 2,
                         layout: str | None = None) -> SolverTiming:
     """Model a ``num_systems x n`` grid from a small simulation.
 
-    Per-block counters are identical across blocks, so ``sim_blocks``
-    simulated systems suffice; the timing report is rescaled to the
-    requested grid via the occupancy/wave rule.  Used by the figure
-    benchmarks, where simulating 512 real blocks would only burn time.
+    Per-block counters are identical across blocks, so two simulated
+    systems suffice; their functional ledger is costed over the
+    requested grid with :meth:`CostModel.grid_timing` (the
+    occupancy/wave rule).  Used by the figure benchmarks, where
+    simulating 512 real blocks would only burn time.
 
     The per-thread ``"thomas"`` kernel packs many systems into each
     block, so its small simulation is one full block tile of
     ``min(num_systems, max_threads)`` systems and the rescale runs
     over the real *block* count instead of the system count.
     """
-    from repro.gpusim.costmodel import TimingReport
     from repro.numerics.generators import diagonally_dominant_fluid
 
     cm = cost_model or gt200_cost_model()
@@ -88,29 +93,17 @@ def modeled_grid_timing(name: str, n: int, num_systems: int, *,
     if name == "thomas":
         from repro.kernels.thomas_kernel import thomas_launch_geometry
         num_blocks, threads = thomas_launch_geometry(num_systems, device)
-        systems = diagonally_dominant_fluid(threads, n, seed=seed)
+        systems = diagonally_dominant_fluid(threads, n, seed=_SIM_SEED)
     else:
         num_blocks = num_systems
-        systems = diagonally_dominant_fluid(sim_blocks, n, seed=seed)
+        systems = diagonally_dominant_fluid(_SIM_BLOCKS, n, seed=_SIM_SEED)
     with telemetry.span("timing.modeled_grid", solver=name, n=n,
                         num_systems=num_systems,
-                        sim_blocks=sim_blocks) as sp:
+                        sim_blocks=_SIM_BLOCKS) as sp:
         x, launch = run_kernel(name, systems,
                                intermediate_size=intermediate_size,
                                device=device, layout=layout)
-        scale, conc, waves = cm.grid_scale(device, num_blocks,
-                                           launch.shared_bytes,
-                                           launch.threads_per_block)
-        ns_to_ms = 1e-6
-        rep = TimingReport(
-            launch_overhead_ms=cm.params.launch_overhead_ns * ns_to_ms,
-            grid_scale=scale, blocks_per_sm=conc, waves=waves)
-        for pname, pc in launch.ledger.phases.items():
-            rep.phases[pname] = cm.phase_time_block_ns(
-                pc, blocks_per_sm=conc).scaled(scale * ns_to_ms)
-        for pname, idx, pc in launch.ledger.step_records:
-            t = cm.phase_time_block_ns(pc, blocks_per_sm=conc).total_ms
-            rep.per_step.append((pname, idx, t * scale * ns_to_ms))
+        rep = cm.grid_timing(launch, num_blocks)
         transfer = pcie.solver_roundtrip_ms(num_systems, n)
         sp.set_attr("modeled_ms", rep.total_ms)
         sp.set_attr("transfer_ms", transfer)

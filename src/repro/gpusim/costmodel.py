@@ -190,21 +190,34 @@ class CostModel:
         eff = 1.0 - self.params.latency_hiding * (1.0 - 1.0 / conc)
         return waves * conc * eff, conc, waves
 
-    def report(self, result: LaunchResult) -> TimingReport:
-        """Grid-level modeled timing for a simulated launch."""
+    def grid_timing(self, launch: LaunchResult,
+                    num_blocks: int) -> TimingReport:
+        """Grid-level modeled timing of ``launch``'s per-block ledger
+        over a ``num_blocks`` grid.
+
+        The one implementation of the grid-timing arithmetic: every
+        modeled millisecond (simulated launches, the analytic
+        estimator, the rescaled bench grids) comes from here, so equal
+        ledgers give bitwise-equal reports.  Emits no telemetry.
+        """
         scale, conc, waves = self.grid_scale(
-            result.device, result.num_blocks, result.shared_bytes,
-            result.threads_per_block)
+            launch.device, num_blocks, launch.shared_bytes,
+            launch.threads_per_block)
         ns_to_ms = 1e-6
         rep = TimingReport(
             launch_overhead_ms=self.params.launch_overhead_ns * ns_to_ms,
             grid_scale=scale, blocks_per_sm=conc, waves=waves)
-        for name, pc in result.ledger.phases.items():
+        for name, pc in launch.ledger.phases.items():
             block_ns = self.phase_time_block_ns(pc, blocks_per_sm=conc)
             rep.phases[name] = block_ns.scaled(scale * ns_to_ms)
-        for phase, idx, pc in result.ledger.step_records:
+        for phase, idx, pc in launch.ledger.step_records:
             t = self.phase_time_block_ns(pc, blocks_per_sm=conc).total_ms
             rep.per_step.append((phase, idx, t * scale * ns_to_ms))
+        return rep
+
+    def report(self, result: LaunchResult) -> TimingReport:
+        """Grid-level modeled timing for a simulated launch."""
+        rep = self.grid_timing(result, result.num_blocks)
         col = _telemetry.get_collector()
         if col is not None:
             self._record_telemetry(col, rep)

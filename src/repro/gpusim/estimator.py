@@ -16,10 +16,11 @@ Guarantees (enforced by ``tests/gpusim/test_estimator.py``):
 - :func:`analytic_launch` returns a ledger bitwise-identical to a
   functional :func:`~repro.gpusim.executor.launch` of the same kernel
   (any input data, either engine).
-- :func:`estimate_report` mirrors the float arithmetic of
-  :func:`repro.analysis.timing.modeled_grid_timing` exactly, so
-  swapping the serve scheduler's admission estimates onto this path
-  changes no modeled millisecond anywhere.
+- :func:`estimate_report` costs that ledger with the same
+  :meth:`~repro.gpusim.costmodel.CostModel.grid_timing` as
+  :func:`repro.analysis.timing.modeled_grid_timing`, so the two agree
+  bitwise and every consumer of modeled milliseconds (serve admission,
+  the layout autotuner's argmin) sees the simulate-then-cost value.
 - No telemetry is emitted and no global state (trace cache, fault
   plan) is consulted, so repeated calls are deterministic and
   side-effect-free; results are memoized per
@@ -206,11 +207,10 @@ def estimate_report(method: str, n: int, num_systems: int, *,
                     layout: str = "sequential") -> TimingReport:
     """Analytic :class:`TimingReport` for a ``num_systems x n`` grid.
 
-    Float-for-float the same arithmetic as
-    :func:`repro.analysis.timing.modeled_grid_timing` applied to a
-    functional launch: same ``grid_scale``, same per-phase scaling,
-    same per-step records.  The two paths therefore agree bitwise on
-    every modeled millisecond.
+    Costs the analytic ledger with :meth:`CostModel.grid_timing`, the
+    same function :func:`repro.analysis.timing.modeled_grid_timing`
+    applies to a functional launch's ledger, so the two paths agree
+    bitwise on every modeled millisecond.
     """
     from .gt200 import gt200_cost_model
 
@@ -225,20 +225,7 @@ def estimate_report(method: str, n: int, num_systems: int, *,
         num_blocks, _threads = thomas_launch_geometry(num_systems, device)
     else:
         num_blocks = num_systems
-    scale, conc, waves = cm.grid_scale(device, num_blocks,
-                                       launch.shared_bytes,
-                                       launch.threads_per_block)
-    ns_to_ms = 1e-6
-    rep = TimingReport(
-        launch_overhead_ms=cm.params.launch_overhead_ns * ns_to_ms,
-        grid_scale=scale, blocks_per_sm=conc, waves=waves)
-    for pname, pc in launch.ledger.phases.items():
-        rep.phases[pname] = cm.phase_time_block_ns(
-            pc, blocks_per_sm=conc).scaled(scale * ns_to_ms)
-    for pname, idx, pc in launch.ledger.step_records:
-        t = cm.phase_time_block_ns(pc, blocks_per_sm=conc).total_ms
-        rep.per_step.append((pname, idx, t * scale * ns_to_ms))
-    return rep
+    return cm.grid_timing(launch, num_blocks)
 
 
 def estimate_ms(method: str, n: int, num_systems: int, *,

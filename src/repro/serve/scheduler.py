@@ -201,10 +201,11 @@ class BatchScheduler:
     def _resolve_auto(self, job: SolveJob) -> None:
         """Resolve ``method="auto"`` into a concrete (method, layout).
 
-        The autotuner's fitted cost model ranks solver x layout for the
-        *chunk* shape (the placement unit) on the pool's device type;
-        the pick is written back onto the job so dispatch, estimates,
-        digests and telemetry all see the resolved pair.
+        The autotuner ranks solver x layout by the analytic estimator's
+        modeled cost for the *chunk* shape (the placement unit) on the
+        pool's device type; the pick is written back onto the job so
+        dispatch, estimates, digests and telemetry all see the
+        resolved pair.
         """
         if job.method != "auto":
             return
@@ -225,8 +226,9 @@ class BatchScheduler:
         the simulate-then-cost path) and the job bound is perfect
         parallelism over the pool.  Used by the queue's
         deadline-feasibility admission check.  ``method="auto"`` jobs
-        are resolved to the autotuner's (method, layout) pick first,
-        so admission estimates price the placement that will run.
+        are resolved to the autotuner's (method, layout) pick first --
+        the argmin of this same estimator -- so admission estimates
+        price the placement that will run.
         """
         self._resolve_auto(job)
         key = (job.method, job.layout, job.systems.n,

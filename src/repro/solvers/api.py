@@ -116,10 +116,11 @@ def choose_method(systems: TridiagonalSystems,
     * Otherwise -> ``cr_pcr`` (fastest overall, §5.3.4).
 
     With a ``device`` (a :class:`repro.gpusim.DeviceSpec`), the static
-    thresholds above are replaced by the fitted measured-cost model of
-    :func:`repro.analysis.layout_autotuner.choose_layout`, which ranks
-    solver *and* batch layout jointly for that device's geometry (the
-    dominance guard still routes to ``gep`` first).
+    thresholds above are replaced by
+    :func:`repro.analysis.layout_autotuner.choose_layout`, the argmin
+    of the analytic estimator's modeled cost over solver *and* batch
+    layout for that device's geometry (the dominance guard still
+    routes to ``gep`` first).
     """
     if not bool(np.all(systems.is_diagonally_dominant(strict=False))):
         return "gep"
@@ -159,7 +160,7 @@ def solve(a, b, c, d, method: str = "auto", *, intermediate_size=None,
     device:
         Optional :class:`repro.gpusim.DeviceSpec`.  With
         ``method="auto"``, route method selection through the
-        measured-cost layout autotuner fitted for that device instead
+        layout autotuner's modeled-cost argmin for that device instead
         of the static thresholds (see :func:`choose_method`).
 
     Returns

@@ -200,17 +200,18 @@ def _record_cost_residual(spec: CellSpec, launch) -> None:
     scheduler-style estimate for its shape, feeding the per-(solver,
     layout, n) ``estimator.cost_residual`` calibration histogram.
     No-op without an active telemetry collector (the estimate itself
-    costs a two-block simulation, cached by launch signature)."""
+    is an analytic replay, memoized per shape)."""
     from repro import telemetry
     if not telemetry.enabled() or launch is None:
         return
-    from repro.analysis.timing import modeled_grid_timing
+    from repro.gpusim.estimator import estimate_ms
     from repro.gpusim.gt200 import gt200_cost_model
     from repro.telemetry.metrics import record_cost_residual
     try:
-        lay = "interleaved" if spec.layout == "interleaved" else None
-        estimate = modeled_grid_timing(
-            spec.solver, spec.n, spec.num_systems, layout=lay).solver_ms
+        layout = ("interleaved" if spec.layout == "interleaved"
+                  else "sequential")
+        estimate = estimate_ms(spec.solver, spec.n, spec.num_systems,
+                               layout=layout)
         actual = gt200_cost_model().report(launch).total_ms
     except Exception:      # estimation must never fail a verify cell
         return

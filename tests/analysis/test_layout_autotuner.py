@@ -1,62 +1,36 @@
-"""The measured-cost layout autotuner: fit quality and placement."""
+"""The layout autotuner: an argmin of the analytic estimator."""
 
 import pytest
 
-from repro.analysis.layout_autotuner import (CANDIDATES, TERMS,
-                                             choose_layout,
-                                             clear_model_cache,
-                                             default_layout_model,
-                                             fit_layout_model)
-from repro.gpusim import GTX280
-
-
-@pytest.fixture(scope="module")
-def model():
-    return fit_layout_model(GTX280)
-
-
-class TestFit:
-    def test_every_candidate_fitted(self, model):
-        assert set(model.fits) == set(CANDIDATES)
-        for fit in model.fits.values():
-            assert fit.points, f"{fit.method}/{fit.layout} has no points"
-
-    def test_analytic_path_exact(self, model):
-        """On the simulator the analytic ledger is exact by
-        construction: gains 1.0, all residuals zero.  Any non-zero
-        value here means the stub-block equivalence broke."""
-        for fit in model.fits.values():
-            assert fit.gain == pytest.approx(1.0, abs=1e-12)
-            assert fit.max_abs_residual == 0.0
-            for term, res in fit.term_residuals().items():
-                assert term in TERMS
-                assert res == 0.0
-
-    def test_summary_mentions_residuals(self, model):
-        s = model.summary()
-        assert "max|res|" in s and "thomas/interleaved" in s
+from repro.analysis.layout_autotuner import CANDIDATES, choose_layout
+from repro.gpusim import estimate_ms
 
 
 class TestChoice:
-    def test_large_batch_small_n_interleaved_thomas(self, model):
-        c = choose_layout(2048, 8, model=model)
+    def test_large_batch_small_n_interleaved_thomas(self):
+        c = choose_layout(2048, 8)
         assert (c.method, c.layout) == ("thomas", "interleaved")
 
-    def test_single_large_system_sequential_hybrid(self, model):
-        c = choose_layout(1, 512, model=model)
+    def test_single_large_system_sequential_hybrid(self):
+        c = choose_layout(1, 512)
         assert c.layout == "sequential"
         assert c.method in ("cr_pcr", "pcr")
 
-    def test_ranking_is_complete_and_sorted(self, model):
-        c = choose_layout(64, 64, model=model)
+    def test_ranking_is_complete_and_sorted(self):
+        c = choose_layout(64, 64)
         assert len(c.ranking) == len(CANDIDATES)
         costs = [r.predicted_ms for r in c.ranking
                  if r.predicted_ms is not None]
         assert costs == sorted(costs)
         assert c.predicted_ms == costs[0]
+        # The prediction is the estimator's value, bit for bit.
+        for r in c.ranking:
+            if r.predicted_ms is not None:
+                assert r.predicted_ms == estimate_ms(r.method, 64, 64,
+                                                     layout=r.layout)
 
-    def test_infeasible_candidates_carry_reasons(self, model):
-        c = choose_layout(4, 100, model=model)   # non-power-of-two n
+    def test_infeasible_candidates_carry_reasons(self):
+        c = choose_layout(4, 100)   # non-power-of-two n
         infeasible = {(r.method, r.layout): r.reason for r in c.ranking
                       if r.predicted_ms is None}
         assert ("pcr", "sequential") in infeasible
@@ -64,18 +38,8 @@ class TestChoice:
         # thomas has no size restriction: still chosen
         assert c.method == "thomas"
 
-    def test_bad_shapes_rejected(self, model):
+    def test_bad_shapes_rejected(self):
         with pytest.raises(ValueError, match="num_systems"):
-            choose_layout(0, 8, model=model)
+            choose_layout(0, 8)
         with pytest.raises(ValueError, match="n must be"):
-            choose_layout(4, 1, model=model)
-
-
-class TestDefaultModelCache:
-    def test_memoized_per_device(self):
-        clear_model_cache()
-        m1 = default_layout_model(GTX280)
-        m2 = default_layout_model(GTX280)
-        assert m1 is m2
-        clear_model_cache()
-        assert default_layout_model(GTX280) is not m1
+            choose_layout(4, 1)

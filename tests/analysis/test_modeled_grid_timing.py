@@ -12,7 +12,7 @@ class TestConsistency:
         full path agree exactly."""
         s = diagonally_dominant_fluid(2, 64, seed=0)
         direct = timed_solve("cr", s)
-        shortcut = modeled_grid_timing("cr", 64, 2, seed=0)
+        shortcut = modeled_grid_timing("cr", 64, 2)
         assert shortcut.solver_ms == pytest.approx(direct.solver_ms,
                                                    rel=1e-12)
 

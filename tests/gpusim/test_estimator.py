@@ -138,14 +138,22 @@ class TestClosedForms:
 class TestSideEffectFreedom:
     def test_no_telemetry_emitted(self):
         from repro import telemetry
+        from repro.analysis.timing import modeled_grid_timing
 
         clear_estimator_cache()
         with telemetry.collect() as col:
             analytic_launch("cr", 64)
             estimate_ms("cr", 64, 100)
         snap = col.metrics.snapshot()
+        names = [name for family in snap.values() for name in family]
         assert not any("trace_cache" in name or "sim." in name
-                       for name in snap), snap
+                       for name in names), snap
+        # modeled_grid_timing shares CostModel.grid_timing with
+        # CostModel.report but not its telemetry: only report() emits
+        # cost-model metrics.
+        with telemetry.collect() as col:
+            modeled_grid_timing("cr", 64, 100)
+        assert "model.reports" not in col.metrics.snapshot()["counters"]
 
     def test_trace_cache_untouched(self):
         from repro.gpusim import TraceCache
