@@ -6,7 +6,8 @@ See :mod:`repro.solvers.api` for the one-call interface and
 """
 
 from .api import (PIVOTING_METHODS, POWER_OF_TWO_METHODS, SOLVERS,
-                  choose_method, residual, robust_solve, solve)
+                  choose_method, host_method, residual, robust_solve,
+                  solve)
 from .cr import cyclic_reduction
 from .factorize import (PCRPlan, ThomasFactorization, pcr_factorize,
                         thomas_factorize)
@@ -32,7 +33,7 @@ from .validate import (InputValidationError, is_power_of_two,
 
 __all__ = [
     "PIVOTING_METHODS", "POWER_OF_TWO_METHODS", "SOLVERS", "choose_method",
-    "residual", "robust_solve", "solve", "cyclic_reduction",
+    "host_method", "residual", "robust_solve", "solve", "cyclic_reduction",
     "gep_batched", "gep_single",
     "lapack_gtsv", "cr_pcr", "cr_rd", "hybrid_solve",
     "parallel_cyclic_reduction", "recursive_doubling", "TridiagonalSystems",

@@ -22,8 +22,15 @@ Methods:
 ``rd``       recursive doubling (scan form)
 ``cr_pcr``   hybrid CR+PCR (paper's fastest at 512x512)
 ``cr_rd``    hybrid CR+RD
-``auto``     picks per the paper's findings (see :func:`choose_method`)
+``auto``     the host's fastest method for the input's shape, by a
+             fixed rule (see :func:`host_method`)
 =========  ==========================================================
+
+Two decisions are kept apart.  :func:`choose_method` is the paper's
+answer -- which algorithm the modeled GT200 prefers -- and drives serve
+placement and the figures.  ``solve(method="auto")`` instead runs the
+input through :func:`host_method`, a fixed rule for the NumPy executors
+that actually run here.
 """
 
 from __future__ import annotations
@@ -103,9 +110,16 @@ POWER_OF_TWO_METHODS = frozenset({"cr", "pcr", "rd", "cr_pcr", "cr_rd"})
 PIVOTING_METHODS = frozenset({"gep", "qr"})
 
 
+def _dominant(systems: TridiagonalSystems) -> bool:
+    """All of ``systems.is_diagonally_dominant(strict=False)``, without
+    its per-system reduction (slow on short rows)."""
+    return bool(np.all(np.abs(systems.b)
+                       >= np.abs(systems.a) + np.abs(systems.c)))
+
+
 def choose_method(systems: TridiagonalSystems,
                   device=None) -> str:
-    """Pick a method per the paper's evaluation.
+    """The method the paper's modeled GPU prefers for ``systems``.
 
     * Not diagonally dominant -> ``gep`` (only pivoting is reliable,
       §5.4).
@@ -121,8 +135,13 @@ def choose_method(systems: TridiagonalSystems,
     of the analytic estimator's modeled cost over solver *and* batch
     layout for that device's geometry (the dominance guard still
     routes to ``gep`` first).
+
+    This ranks *modeled GPU* cost; the NumPy executors behind
+    :func:`solve` rank differently (see :func:`host_method`).  To run
+    the modeled choice, pass it explicitly:
+    ``solve(a, b, c, d, method=choose_method(systems, device=dev))``.
     """
-    if not bool(np.all(systems.is_diagonally_dominant(strict=False))):
+    if not _dominant(systems):
         return "gep"
     S, n = systems.shape
     if device is not None:
@@ -135,9 +154,39 @@ def choose_method(systems: TridiagonalSystems,
     return "cr_pcr"
 
 
+#: Host crossover: ``cr`` beats the system-minor ``thomas`` sweep only
+#: for at most ``HOST_CR_FACTOR`` systems that are each at least
+#: ``HOST_CR_FACTOR`` times longer than the batch is wide.  Measured
+#: grid in ``docs/api.md``.
+HOST_CR_FACTOR = 32
+
+
+def host_method(systems: TridiagonalSystems, *, pad: bool = True) -> str:
+    """The method ``solve(method="auto")`` runs: a fixed rule for the
+    NumPy executors, a function of the input alone.
+
+    * Not diagonally dominant -> ``gep`` (as in :func:`choose_method`).
+    * A few long systems -> ``cr``: ``num_systems <= K`` and
+      ``num_systems * K <= n`` with ``K =`` :data:`HOST_CR_FACTOR`,
+      when ``n`` is a power of two or ``pad`` allows padding.  Here
+      CR's log n whole-batch steps beat Thomas's n short ones.
+    * Otherwise -> ``thomas``: one contiguous vector step per unknown
+      across the batch, like the paper's MT CPU solver (§5.2).
+
+    The rule is fixed rather than timed at run time, so ``auto``'s
+    result bits depend on the input only.
+    """
+    if not _dominant(systems):
+        return "gep"
+    S, n = systems.shape
+    K = HOST_CR_FACTOR
+    if S <= K and S * K <= n and (pad or is_power_of_two(n)):
+        return "cr"
+    return "thomas"
+
+
 def solve(a, b, c, d, method: str = "auto", *, intermediate_size=None,
-          pad: bool = True, check_finite: bool = True,
-          device=None) -> np.ndarray:
+          pad: bool = True, check_finite: bool = True) -> np.ndarray:
     """Solve tridiagonal systems ``A x = d``.
 
     Parameters
@@ -147,21 +196,19 @@ def solve(a, b, c, d, method: str = "auto", *, intermediate_size=None,
         1-D arrays for a single system or ``(num_systems, n)`` batches.
         ``a[..., 0]`` and ``c[..., -1]`` are ignored.
     method:
-        One of :data:`SOLVERS` or ``"auto"``.
+        One of :data:`SOLVERS` or ``"auto"``.  ``"auto"`` runs
+        :func:`host_method`'s pick: the fastest executor on this host,
+        not the modeled GPU's choice (:func:`choose_method`).
     intermediate_size:
         Hybrid switch point ``m`` (hybrids only).
     pad:
         Pad non-power-of-two sizes for the GPU-path methods.  With
-        ``pad=False`` such sizes raise instead.
+        ``pad=False`` such sizes raise instead (``"auto"`` then picks a
+        method that needs no padding).
     check_finite:
         Reject NaN/Inf coefficients with a ``ValueError`` naming the
         offending system (default).  ``False`` skips the scan and lets
         non-finite values propagate as they did before.
-    device:
-        Optional :class:`repro.gpusim.DeviceSpec`.  With
-        ``method="auto"``, route method selection through the
-        layout autotuner's modeled-cost argmin for that device instead
-        of the static thresholds (see :func:`choose_method`).
 
     Returns
     -------
@@ -172,8 +219,7 @@ def solve(a, b, c, d, method: str = "auto", *, intermediate_size=None,
                                  np.atleast_2d(c), np.atleast_2d(d))
     if check_finite:
         validate_finite(systems, who="solve")
-    name = choose_method(systems, device=device) if method == "auto" \
-        else method
+    name = host_method(systems, pad=pad) if method == "auto" else method
     if name not in SOLVERS:
         raise ValueError(
             f"unknown method {name!r}; available: {sorted(SOLVERS)} or 'auto'")

@@ -10,12 +10,13 @@ simulation for every geometry.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis.timing import modeled_grid_timing
 from repro.gpusim import GTX280, InterleavedSystemArrays, estimate_ms
 from repro.kernels import run_kernel, run_thomas_batch
 from repro.numerics.generators import diagonally_dominant_fluid
-from repro.solvers.thomas import thomas_batched
+from repro.solvers.thomas import thomas_batched, thomas_single
 
 
 class TestRunThomasBatch:
@@ -55,6 +56,31 @@ class TestRunThomasBatch:
         s = diagonally_dominant_fluid(2, 8, seed=0)
         with pytest.raises(ValueError, match="layout must be one of"):
             run_thomas_batch(s, layout="diagonal")
+
+
+@settings(max_examples=40, deadline=None)
+@given(S=st.integers(min_value=1, max_value=64),
+       n=st.integers(min_value=2, max_value=300),
+       dtype=st.sampled_from([np.float32, np.float64]),
+       seed=st.integers(min_value=0, max_value=10**6))
+def test_thomas_bitwise_contract(S, n, dtype, seed):
+    """One Thomas, four executions: the system-minor NumPy sweep, the
+    per-system scalar loop and the simulated kernel in both layouts
+    give identical bits (the kernel computes in float32)."""
+    s = diagonally_dominant_fluid(S, n, seed=seed, dtype=dtype)
+    before = [v.copy() for v in (s.a, s.b, s.c, s.d)]
+    x = thomas_batched(s)
+    for v, w in zip(before, (s.a, s.b, s.c, s.d)):
+        np.testing.assert_array_equal(v, w)     # inputs untouched
+    assert x.dtype == dtype and x.shape == (S, n)
+    single = np.stack([thomas_single(s.a[k], s.b[k], s.c[k], s.d[k])
+                       for k in range(S)])
+    np.testing.assert_array_equal(x, single)
+    s32 = s.astype(np.float32)
+    x32 = thomas_batched(s32)
+    for layout in ("sequential", "interleaved"):
+        np.testing.assert_array_equal(
+            run_kernel("thomas", s32, layout=layout)[0], x32)
 
 
 class TestRunKernelLayout:

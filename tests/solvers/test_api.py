@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.numerics.generators import close_values, diagonally_dominant_fluid
-from repro.solvers.api import (SOLVERS, choose_method, residual, solve)
+from repro.solvers.api import (HOST_CR_FACTOR, SOLVERS, choose_method,
+                               host_method, residual, solve)
 from repro.solvers.systems import TridiagonalSystems
 
 
@@ -108,6 +110,67 @@ class TestAutoSelection:
         s = diagonally_dominant_fluid(16, 128, seed=13)
         x = solve(s.a, s.b, s.c, s.d)  # method="auto"
         assert residual(s.a, s.b, s.c, s.d, x).max() < 1e-3
+
+
+class TestHostExecutor:
+    """``solve(method="auto")`` runs the host rule, not the modeled
+    GPU's choice."""
+
+    K = HOST_CR_FACTOR
+
+    def test_few_long_systems_get_cr(self):
+        s = diagonally_dominant_fluid(4, 4 * self.K, seed=20)
+        assert host_method(s) == "cr"
+        assert choose_method(s) == "thomas"     # the modeled choice
+
+    def test_one_system_too_many_gets_thomas(self):
+        s = diagonally_dominant_fluid(5, 4 * self.K, seed=21)
+        assert host_method(s) == "thomas"
+
+    def test_wide_batch_gets_thomas(self):
+        s = diagonally_dominant_fluid(self.K + 1, 64 * self.K, seed=22)
+        assert host_method(s) == "thomas"
+
+    @pytest.mark.parametrize("S,n,expect", [(512, 512, "thomas"),
+                                            (4096, 64, "thomas"),
+                                            (16384, 16, "thomas"),
+                                            (1, 65536, "cr")])
+    def test_benchmark_shapes(self, S, n, expect):
+        s = diagonally_dominant_fluid(S, n, seed=23)
+        assert host_method(s) == expect
+
+    def test_non_dominant_gets_gep(self):
+        s = close_values(4, 64, seed=24)
+        assert host_method(s) == "gep"
+
+    def test_padding_needed_only_with_pad(self):
+        s = diagonally_dominant_fluid(1, 200, seed=25)
+        assert host_method(s) == "cr"
+        assert host_method(s, pad=False) == "thomas"
+
+    def test_auto_pad_false_non_power_of_two(self):
+        """``auto`` used to pick a power-of-two method and raise."""
+        s = diagonally_dominant_fluid(64, 200, seed=26)
+        x = solve(s.a, s.b, s.c, s.d, pad=False)
+        assert x.shape == (64, 200)
+        np.testing.assert_array_equal(
+            x, solve(s.a, s.b, s.c, s.d, method="thomas"))
+
+    @pytest.mark.parametrize("S,n", [(2, 256), (64, 32), (3, 100)])
+    def test_auto_bitwise_equals_chosen_method(self, S, n):
+        s = diagonally_dominant_fluid(S, n, seed=27)
+        name = host_method(s)
+        np.testing.assert_array_equal(solve(s.a, s.b, s.c, s.d),
+                                      solve(s.a, s.b, s.c, s.d, method=name))
+
+    @pytest.mark.parametrize("S,n,expect", [(2, 256, "cr"),
+                                            (64, 32, "thomas")])
+    def test_span_names_method_that_ran(self, S, n, expect):
+        s = diagonally_dominant_fluid(S, n, seed=28)
+        with telemetry.collect() as col:
+            solve(s.a, s.b, s.c, s.d)
+        spans = [sp for sp in col.spans if sp.name == "solve"]
+        assert [sp.attrs["method"] for sp in spans] == [expect]
 
 
 class TestResidualHelper:

@@ -92,3 +92,19 @@ def test_property_independent_oracle(n, diag, seed):
                            np.full((2, n), -1.0), d)
     np.testing.assert_allclose(x, thomas_batched(s), rtol=1e-8,
                                atol=1e-10)
+
+
+def test_import_repro_defers_scipy_fft():
+    """``scipy.fft`` is imported by the first spectral solve, not by
+    ``import repro`` (it dominated cold start)."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    code = ("import sys, repro; "
+            "assert 'scipy.fft' not in sys.modules, 'scipy.fft imported'")
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
