@@ -19,9 +19,9 @@ per-candidate infeasibility reasons (power-of-two requirements,
 shared-memory overflow) preserved in the ranking.  The estimator is
 bitwise-equal to a functional simulation by contract
 (``tests/gpusim/test_estimator.py``), so no calibration layer sits on
-top of it.  :func:`repro.solvers.api.solve` (``method="auto"`` with a
-``device=``) and the serve scheduler's admission estimates consume
-this to pick solver and layout jointly.
+top of it.  :func:`repro.solvers.choose_method` (with a ``device=``)
+and the serve scheduler's admission estimates consume this to pick
+solver and layout jointly.
 """
 
 from __future__ import annotations

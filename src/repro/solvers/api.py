@@ -110,13 +110,6 @@ POWER_OF_TWO_METHODS = frozenset({"cr", "pcr", "rd", "cr_pcr", "cr_rd"})
 PIVOTING_METHODS = frozenset({"gep", "qr"})
 
 
-def _dominant(systems: TridiagonalSystems) -> bool:
-    """All of ``systems.is_diagonally_dominant(strict=False)``, without
-    its per-system reduction (slow on short rows)."""
-    return bool(np.all(np.abs(systems.b)
-                       >= np.abs(systems.a) + np.abs(systems.c)))
-
-
 def choose_method(systems: TridiagonalSystems,
                   device=None) -> str:
     """The method the paper's modeled GPU prefers for ``systems``.
@@ -141,7 +134,7 @@ def choose_method(systems: TridiagonalSystems,
     the modeled choice, pass it explicitly:
     ``solve(a, b, c, d, method=choose_method(systems, device=dev))``.
     """
-    if not _dominant(systems):
+    if not np.all(systems.is_diagonally_dominant(strict=False)):
         return "gep"
     S, n = systems.shape
     if device is not None:
@@ -176,7 +169,7 @@ def host_method(systems: TridiagonalSystems, *, pad: bool = True) -> str:
     The rule is fixed rather than timed at run time, so ``auto``'s
     result bits depend on the input only.
     """
-    if not _dominant(systems):
+    if not np.all(systems.is_diagonally_dominant(strict=False)):
         return "gep"
     S, n = systems.shape
     K = HOST_CR_FACTOR

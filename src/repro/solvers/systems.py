@@ -157,4 +157,8 @@ class TridiagonalSystems:
         """Per-system check of (strict) row diagonal dominance."""
         lhs = np.abs(self.b)
         rhs = np.abs(self.a) + np.abs(self.c)
-        return np.all(lhs > rhs if strict else lhs >= rhs, axis=1)
+        ok = lhs > rhs if strict else lhs >= rhs
+        # One flat reduction first: the per-row one is slow on short rows.
+        if ok.all():
+            return np.ones(self.num_systems, dtype=bool)
+        return np.all(ok, axis=1)
