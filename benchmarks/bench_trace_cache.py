@@ -10,9 +10,11 @@ trace cache disabled ("before") and enabled ("after"):
   where every healthy chunk shares the pool's cache.
 
 Besides wall-clock, the bench asserts what the cache promises: cached
-and uncached ledgers are bitwise-identical on the full solver x size
-grid, and the repeat-launch hit rate clears 90% (the exit code gates
-on this -- CI runs ``--quick`` as a perf smoke).
+and uncached ledgers *and solutions* are bitwise-identical on the full
+solver x size grid (a hit takes ``x`` from the kernel's NumPy twin
+instead of simulating), and the repeat-launch hit rate clears 90% (the
+exit code gates on all of this -- CI runs ``--quick`` as a perf
+smoke).
 """
 
 from __future__ import annotations
@@ -34,14 +36,15 @@ HIT_RATE_FLOOR = 0.90
 
 
 def _grid_pass(batches, cache):
-    """One sweep over the solver x size grid; returns per-cell ledgers."""
-    ledgers = {}
+    """One sweep over the solver x size grid; returns per-cell
+    ``(x, ledger)``."""
+    cells = {}
     with use_cache(cache):
         for n, systems in batches.items():
             for solver in SOLVERS:
-                _x, res = run_kernel(solver, systems)
-                ledgers[(solver, n)] = res.ledger
-    return ledgers
+                x, res = run_kernel(solver, systems)
+                cells[(solver, n)] = (x, res.ledger)
+    return cells
 
 
 def verify_grid_workload(sizes, repeats, num_systems=2):
@@ -60,12 +63,16 @@ def verify_grid_workload(sizes, repeats, num_systems=2):
     after_s = time.perf_counter() - t0
 
     mismatched = [cell for cell in uncached
-                  if ledgers_equal(uncached[cell], cached[cell])]
+                  if ledgers_equal(uncached[cell][1], cached[cell][1])]
+    x_mismatched = [cell for cell in uncached
+                    if (uncached[cell][0].tobytes()
+                        != cached[cell][0].tobytes())]
     return {"before_s": before_s, "after_s": after_s,
             "speedup": before_s / after_s if after_s else float("inf"),
             "hit_rate": cache.hit_rate, "stats": cache.stats(),
             "launches": repeats * len(uncached),
-            "mismatched_cells": [f"{s}@{n}" for s, n in mismatched]}
+            "mismatched_cells": [f"{s}@{n}" for s, n in mismatched],
+            "x_mismatched_cells": [f"{s}@{n}" for s, n in x_mismatched]}
 
 
 def serve_chaos_workload(repeats, num_systems=32, n=64, chunk_size=2):
@@ -113,12 +120,16 @@ def build_report(quick: bool, repeats: int) -> tuple[str, dict, bool]:
     text = table(["workload", "before_s", "after_s", "speedup", "hit_rate"],
                  rows)
     identical = not grid["mismatched_cells"]
+    x_identical = not grid["x_mismatched_cells"]
     text += (f"\ngrid: {len(sizes)} sizes x {len(SOLVERS)} solvers x "
              f"{repeats} repeats = {grid['launches']} launches")
     text += ("\ncached vs uncached ledgers: "
              + ("bitwise-identical on every cell" if identical
                 else f"MISMATCH in {grid['mismatched_cells']}"))
-    ok = identical and grid["hit_rate"] >= HIT_RATE_FLOOR
+    text += ("\ncached vs uncached solutions: "
+             + ("bitwise-identical on every cell" if x_identical
+                else f"MISMATCH in {grid['x_mismatched_cells']}"))
+    ok = identical and x_identical and grid["hit_rate"] >= HIT_RATE_FLOOR
     if grid["hit_rate"] < HIT_RATE_FLOOR:
         text += (f"\nFAIL: hit rate {100 * grid['hit_rate']:.1f}% below the "
                  f"{100 * HIT_RATE_FLOOR:.0f}% floor")

@@ -89,8 +89,10 @@ class BlockContext:
         validation included) but no counters or costs are recorded and
         the conflict/coalescing arithmetic is skipped entirely.  The
         trace cache (:mod:`~repro.gpusim.tracecache`) uses this on a
-        hit: the architectural trace is a pure function of the launch
-        signature, so a memoized ledger replaces the recording pass.
+        hit of a kernel without a NumPy twin: the architectural trace
+        is a pure function of the launch signature, so a memoized
+        ledger replaces the recording pass.  (A hit of a kernel with a
+        twin builds no context at all.)
     engine:
         Execution engine (instance, name, or None for the vectorized
         default); see :mod:`~repro.gpusim.engine`.
@@ -140,6 +142,9 @@ class BlockContext:
         self.step_limit = step_limit
         self._steps_executed = 0
         self._phase_step_counts: dict[str, int] = {}
+        #: ``(site, name)`` of every phase callback emitted, in order;
+        #: the trace cache stores it so a hit can replay the callbacks.
+        self.phase_log: list[tuple[str, str]] = []
 
     # ------------------------------------------------------------------
     # Lane management
@@ -207,6 +212,7 @@ class BlockContext:
         self._phase_name = name
         self._cur_pc = None
         if self.emit_callbacks:
+            self.phase_log.append((_cb.SITE_BEGIN, name))
             _cb.emit(_cb.DOMAIN_PHASE, _cb.SITE_BEGIN, name=name)
         try:
             yield
@@ -214,6 +220,7 @@ class BlockContext:
             self._phase_name = prev
             self._cur_pc = prev_pc
             if self.emit_callbacks:
+                self.phase_log.append((_cb.SITE_END, name))
                 _cb.emit(_cb.DOMAIN_PHASE, _cb.SITE_END, name=name)
 
     @contextmanager

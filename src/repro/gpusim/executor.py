@@ -43,7 +43,9 @@ class LaunchResult:
     trace_cached:
         True when ``ledger`` was replayed from the trace cache instead
         of being recorded by this launch (bitwise-identical either
-        way; see :mod:`~repro.gpusim.tracecache`).
+        way).  A cached launch of a kernel with a NumPy twin did not
+        simulate at all: the twin computed the bitwise-equal solution
+        (see :mod:`~repro.gpusim.tracecache`).
     """
 
     outputs: Any
@@ -153,7 +155,7 @@ def _launch_once(kernel, kernel_name, num_blocks, threads_per_block, device,
     """One successful launch attempt (the pre-fault-injection body)."""
     cache = _tracecache.get_cache()
     key = None
-    cached_ledger = None
+    entry = None
     if cache is not None:
         if plan is not None or step_limit is not None:
             # Injected faults perturb the run; differential timing
@@ -170,11 +172,17 @@ def _launch_once(kernel, kernel_name, num_blocks, threads_per_block, device,
             if key is None:
                 cache.record_bypass(kernel_name)
             else:
-                cached_ledger = cache.lookup(key, kernel=kernel_name)
+                entry = cache.lookup(key, kernel=kernel_name)
+    twin = getattr(kernel, "numpy_twin", None)
+    # Twins compute in float32; any other dtype runs the kernel itself.
+    if (entry is not None and twin is not None
+            and np.dtype(dtype) == np.float32):
+        return _replay_hit(twin, entry, kernel_name, num_blocks,
+                           threads_per_block, device, kernel_args)
     ctx = BlockContext(device, num_blocks, threads_per_block, dtype=dtype,
                        check_contiguous_active=check_contiguous_active,
                        step_limit=step_limit,
-                       record_trace=cached_ledger is None,
+                       record_trace=entry is None,
                        engine=engine)
     _cb.emit(_cb.DOMAIN_LAUNCH, _cb.SITE_BEGIN, kernel=kernel_name,
              num_blocks=num_blocks, threads_per_block=threads_per_block,
@@ -185,16 +193,18 @@ def _launch_once(kernel, kernel_name, num_blocks, threads_per_block, device,
             outputs = kernel(ctx, **kernel_args)
         except StopKernel:
             outputs = None
-        if key is not None and cached_ledger is None:
-            cache.store(key, ctx.ledger, kernel=kernel_name)
+        if key is not None and entry is None:
+            cache.store(key, ctx.ledger,
+                        shared_bytes=ctx.shared_space.bytes_allocated,
+                        phase_log=ctx.phase_log, kernel=kernel_name)
         result = LaunchResult(
             outputs=outputs,
-            ledger=ctx.ledger if cached_ledger is None else cached_ledger,
+            ledger=ctx.ledger if entry is None else entry.ledger,
             num_blocks=num_blocks,
             threads_per_block=threads_per_block,
             shared_bytes=ctx.shared_space.bytes_allocated,
             device=device,
-            trace_cached=cached_ledger is not None,
+            trace_cached=entry is not None,
         )
         if plan is not None:
             detected = plan.corrupt_global_arrays(
@@ -208,5 +218,32 @@ def _launch_once(kernel, kernel_name, num_blocks, threads_per_block, device,
     finally:
         # Delivered even when the kernel raises (result stays None),
         # so subscribers never see an unbalanced begin.
+        _cb.emit(_cb.DOMAIN_LAUNCH, _cb.SITE_END, kernel=kernel_name,
+                 result=result)
+
+
+def _replay_hit(twin, entry, kernel_name, num_blocks, threads_per_block,
+                device, kernel_args) -> LaunchResult:
+    """A trace-cache hit served without simulating.
+
+    The schedule is data-independent, so the cached entry already holds
+    everything the launch would trace; only the solution is left, and
+    the kernel's NumPy twin computes it bit for bit.  Subscribers see
+    the callbacks the recording run emitted, in the same order.
+    """
+    _cb.emit(_cb.DOMAIN_LAUNCH, _cb.SITE_BEGIN, kernel=kernel_name,
+             num_blocks=num_blocks, threads_per_block=threads_per_block,
+             device=device.name)
+    result = None
+    try:
+        for site, name in entry.phase_log:
+            _cb.emit(_cb.DOMAIN_PHASE, site, name=name)
+        result = LaunchResult(
+            outputs=twin(**kernel_args), ledger=entry.ledger,
+            num_blocks=num_blocks, threads_per_block=threads_per_block,
+            shared_bytes=entry.shared_bytes, device=device,
+            trace_cached=True)
+        return result
+    finally:
         _cb.emit(_cb.DOMAIN_LAUNCH, _cb.SITE_END, kernel=kernel_name,
                  result=result)

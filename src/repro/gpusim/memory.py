@@ -409,8 +409,9 @@ class InterleavedSystemArrays:
 
     The class mirrors the sequential container's protocol (``a..d``,
     ``x``, ``num_systems``, ``n``, ``from_systems``, ``solution``,
-    ``trace_signature``) so kernels and the fault-injection transfer
-    hooks treat the two layouts uniformly.  ``trace_signature`` carries
+    ``input_planes``, ``store_solution``, ``trace_signature``) so
+    kernels, their NumPy twins and the fault-injection transfer hooks
+    treat the two layouts uniformly.  ``trace_signature`` carries
     a distinct tag: the access schedule of a kernel depends on the
     layout, so a trace recorded against one layout must never be a
     cache hit for the other.  (A dataclass so
@@ -465,6 +466,17 @@ class InterleavedSystemArrays:
         return ("gmem_interleaved", self.num_systems, self.n,
                 tuple(arr.trace_signature()
                       for arr in (self.a, self.b, self.c, self.d, self.x)))
+
+    def input_planes(self) -> tuple[np.ndarray, ...]:
+        """The staged ``a, b, c, d`` de-interleaved to
+        ``(num_systems, n)`` views."""
+        S, n = self.num_systems, self.n
+        return tuple(arr.data.reshape(n, S).T
+                     for arr in (self.a, self.b, self.c, self.d))
+
+    def store_solution(self, x: np.ndarray) -> None:
+        """Interleave a ``(num_systems, n)`` solution into ``x``."""
+        self.x.data.reshape(self.n, self.num_systems)[:] = x.T
 
     def solution(self) -> np.ndarray:
         """De-interleave the solution back to ``(num_systems, n)``.

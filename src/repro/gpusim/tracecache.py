@@ -12,20 +12,34 @@ an identical trace on every launch.  This module memoizes it:
 * :func:`launch_signature` derives a hashable cache key, or ``None``
   when the launch is not safely memoizable (closure kernels, opaque
   arguments).
-* :class:`TraceCache` maps signatures to privately copied ledgers and
-  keeps hit/miss/bypass statistics, exported as
-  ``gpusim.trace_cache.*`` telemetry counters when a collector is
-  active.
-* The executor consults :func:`get_cache`.  On a hit the kernel still
-  runs functionally (real float32 outputs) but with
-  ``record_trace=False``; a private copy of the cached ledger is
-  attached to the :class:`~repro.gpusim.executor.LaunchResult`.
+* :class:`TraceCache` maps signatures to :class:`TraceEntry` records
+  (ledgers privately copied) and keeps hit/miss/bypass statistics,
+  exported as ``gpusim.trace_cache.*`` telemetry counters when a
+  collector is active.
+* The executor consults :func:`get_cache`.  A miss stores one
+  :class:`TraceEntry`: the recorded ledger, the static shared-memory
+  footprint and the ordered log of phase begin/end callbacks the
+  recording run emitted.
+
+Hit rule: a kernel carrying a ``numpy_twin`` attribute (every registry
+kernel with a bitwise-equal NumPy solver; see
+:mod:`repro.kernels.common`) skips the simulator entirely on a hit.
+The executor emits launch begin, replays the logged phase callbacks,
+lets the twin write the float32 solution into ``gmem.x`` and emits
+launch end -- no :class:`~repro.gpusim.context.BlockContext`, no
+engine.  A kernel without a twin still runs functionally on a hit
+(real float32 outputs, ``record_trace=False``).  Either way a private
+copy of the cached ledger is attached to the
+:class:`~repro.gpusim.executor.LaunchResult`, and a hit emits exactly
+the launch and phase callbacks the recording run did (no step
+callbacks).
 
 Bypass rule: the cache is skipped entirely whenever a
 :class:`~repro.gpusim.faults.FaultPlan` is active (injected faults
 perturb both execution and counters) or ``step_limit`` is set (the
 differential-timing probe must re-trace its truncated run), and for
-kernels or arguments without a stable structural identity.
+kernels or arguments without a stable structural identity.  Bypassed
+launches always run the simulator, never the twin.
 
 A process-wide default cache is enabled by default; set the
 environment variable ``REPRO_TRACE_CACHE=0`` to disable it, or scope a
@@ -38,7 +52,7 @@ from __future__ import annotations
 import os
 import threading
 from contextlib import contextmanager
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -118,13 +132,25 @@ def launch_signature(kernel, *, num_blocks: int, threads_per_block: int,
             tuple(arg_tokens))
 
 
+class TraceEntry(NamedTuple):
+    """What a recording launch leaves behind for its hits to replay."""
+
+    ledger: CounterLedger
+    #: Static shared-memory footprint per block, as allocated.
+    shared_bytes: int
+    #: ``(site, phase name)`` pairs, in the order the phase callbacks
+    #: were emitted.
+    phase_log: tuple[tuple[str, str], ...]
+
+
 class TraceCache:
-    """Signature -> :class:`CounterLedger` map with usage statistics.
+    """Signature -> :class:`TraceEntry` map with usage statistics.
 
     Ledgers are copied (:meth:`CounterLedger.copy`) on both store and
     lookup, so callers can mutate a returned ledger (or the one they
-    stored) without corrupting the cache.  Insertion-order (FIFO) eviction bounds the
-    footprint at ``max_entries``.
+    stored) without corrupting the cache.  Insertion-order (FIFO)
+    eviction bounds the footprint at ``max_entries``; evicting or
+    clearing drops a whole entry.
     """
 
     def __init__(self, max_entries: int = 1024, name: str = "default"):
@@ -136,7 +162,7 @@ class TraceCache:
         #: is "pool", letting the profile summary aggregate hit rate
         #: across all pooled devices.
         self.name = str(name)
-        self._entries: dict[Any, CounterLedger] = {}
+        self._entries: dict[Any, TraceEntry] = {}
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -145,25 +171,29 @@ class TraceCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def lookup(self, key, *, kernel: str = "?") -> CounterLedger | None:
-        """A private copy of the memoized ledger, or ``None`` on miss."""
+    def lookup(self, key, *, kernel: str = "?") -> TraceEntry | None:
+        """The memoized entry (with a private ledger copy), or ``None``
+        on miss."""
         with self._lock:
-            ledger = self._entries.get(key)
-            if ledger is None:
+            entry = self._entries.get(key)
+            if entry is None:
                 self.misses += 1
             else:
                 self.hits += 1
-                ledger = ledger.copy()
-        _count("misses" if ledger is None else "hits", kernel,
+                entry = entry._replace(ledger=entry.ledger.copy())
+        _count("misses" if entry is None else "hits", kernel,
                cache=self.name)
-        return ledger
+        return entry
 
-    def store(self, key, ledger: CounterLedger, *, kernel: str = "?") -> None:
+    def store(self, key, ledger: CounterLedger, *, shared_bytes: int,
+              phase_log, kernel: str = "?") -> None:
+        entry = TraceEntry(ledger.copy(), int(shared_bytes),
+                           tuple(phase_log))
         with self._lock:
             if (key not in self._entries
                     and len(self._entries) >= self.max_entries):
                 self._entries.pop(next(iter(self._entries)))
-            self._entries[key] = ledger.copy()
+            self._entries[key] = entry
 
     def record_bypass(self, kernel: str = "?",
                       reason: str = "opaque_signature") -> None:

@@ -11,6 +11,7 @@ global footprints (Table 1's last column).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -60,6 +61,17 @@ class GlobalSystemArrays:
                 tuple(arr.trace_signature()
                       for arr in (self.a, self.b, self.c, self.d, self.x)))
 
+    def input_planes(self) -> tuple[np.ndarray, ...]:
+        """The staged ``a, b, c, d`` as ``(num_systems, n)`` views."""
+        S, n = self.num_systems, self.n
+        return tuple(arr.data.reshape(S, n)
+                     for arr in (self.a, self.b, self.c, self.d))
+
+    def store_solution(self, x: np.ndarray) -> None:
+        """Write a ``(num_systems, n)`` solution into ``x``, as the
+        kernels' final global store does."""
+        self.x.data[:] = x.reshape(-1)
+
     @property
     def block_bases(self) -> np.ndarray:
         """Word offset of each block's system slice."""
@@ -76,6 +88,28 @@ class GlobalSystemArrays:
         if plan is not None:
             plan.corrupt_transfer([x], direction="d2h")
         return x
+
+
+def numpy_twin(solve: Callable[..., np.ndarray]) -> Callable[..., None]:
+    """The NumPy twin of a registry kernel, set as ``kernel.numpy_twin``.
+
+    ``solve`` is the NumPy solver whose float32 arithmetic the kernel
+    executes bit for bit (``tests/kernels/test_property_kernels.py``).
+    On a trace-cache hit the executor calls the twin with the kernel's
+    own arguments instead of simulating: it solves the float32 inputs
+    ``gmem`` staged and writes the solution into ``gmem.x``.  It runs
+    under the floating-point suppression the kernels' arithmetic uses,
+    so a hit never warns (or raises) where the simulated launch is
+    silent.
+    """
+    def twin(gmem, conflict_free_timing: bool = False,
+             **solver_args) -> None:
+        # conflict_free_timing moves CR's cost, never its values.
+        with np.errstate(all="ignore"):
+            x = solve(TridiagonalSystems(*gmem.input_planes()),
+                      **solver_args)
+        gmem.store_solution(x)
+    return twin
 
 
 def stage_inputs_to_shared(ctx: BlockContext, gmem: GlobalSystemArrays,

@@ -22,10 +22,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.gpusim import BlockContext
+from repro.solvers.cr import cyclic_reduction
 
 from .common import (PHASE_GLOBAL_LOAD, PHASE_GLOBAL_STORE,
-                     GlobalSystemArrays, log2_int, stage_inputs_to_shared,
-                     store_solution_from_shared)
+                     GlobalSystemArrays, log2_int, numpy_twin,
+                     stage_inputs_to_shared, store_solution_from_shared)
 
 PHASE_FORWARD = "forward_reduction"
 PHASE_SOLVE_TWO = "solve_two"
@@ -162,3 +163,6 @@ def cr_kernel(ctx: BlockContext, gmem: GlobalSystemArrays,
     with ctx.phase(PHASE_GLOBAL_STORE):
         ctx.set_active(n // 2)
         store_solution_from_shared(ctx, gmem, sx, elems_per_thread=2)
+
+
+cr_kernel.numpy_twin = numpy_twin(cyclic_reduction)

@@ -22,10 +22,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.gpusim import BlockContext, KernelError
+from repro.solvers.hybrid import cr_pcr, cr_rd
 
 from .common import (PHASE_GLOBAL_LOAD, PHASE_GLOBAL_STORE,
-                     GlobalSystemArrays, log2_int, stage_inputs_to_shared,
-                     store_solution_from_shared)
+                     GlobalSystemArrays, log2_int, numpy_twin,
+                     stage_inputs_to_shared, store_solution_from_shared)
 from .cr_kernel import backward_substitution_step, forward_reduction_step
 from .pcr_kernel import pcr_reduction_step, pcr_solve_two_step
 from .rd_kernel import rd_scan_step, rd_solution_evaluation
@@ -198,3 +199,7 @@ def cr_rd_kernel(ctx: BlockContext, gmem: GlobalSystemArrays,
     with ctx.phase(PHASE_GLOBAL_STORE):
         ctx.set_active(n // 2)
         store_solution_from_shared(ctx, gmem, sx, elems_per_thread=2)
+
+
+cr_pcr_kernel.numpy_twin = numpy_twin(cr_pcr)
+cr_rd_kernel.numpy_twin = numpy_twin(cr_rd)

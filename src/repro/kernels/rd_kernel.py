@@ -21,8 +21,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.gpusim import BlockContext
+from repro.solvers.rd import recursive_doubling
 
-from .common import GlobalSystemArrays, log2_int
+from .common import GlobalSystemArrays, log2_int, numpy_twin
 
 PHASE_SETUP = "global_load_setup"
 PHASE_SCAN = "scan"
@@ -150,3 +151,6 @@ def rd_kernel(ctx: BlockContext, gmem: GlobalSystemArrays) -> None:
     with ctx.phase(PHASE_EVAL):
         with ctx.step():
             rd_solution_evaluation(ctx, rows, sx0, n, store_to_global)
+
+
+rd_kernel.numpy_twin = numpy_twin(recursive_doubling)

@@ -32,8 +32,9 @@ import numpy as np
 from repro.gpusim import (BlockContext, GTX280, DeviceSpec,
                           InterleavedSystemArrays, LaunchResult, launch)
 from repro.solvers.systems import TridiagonalSystems
+from repro.solvers.thomas import thomas_batched
 
-from .common import GlobalSystemArrays
+from .common import GlobalSystemArrays, numpy_twin
 
 PHASE_SOLVE = "thomas_serial"
 
@@ -157,6 +158,10 @@ def thomas_interleaved_kernel(ctx: BlockContext,
         return i * stride + lanes
 
     _thomas_sweep(ctx, gmem, bases, addr, n)
+
+
+thomas_sequential_kernel.numpy_twin = numpy_twin(thomas_batched)
+thomas_interleaved_kernel.numpy_twin = numpy_twin(thomas_batched)
 
 
 def thomas_launch_geometry(num_systems: int,

@@ -1,14 +1,19 @@
 """Launch-signature trace memoization: correctness and bypass rules."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from repro import telemetry
-from repro.gpusim import (FaultPlan, TraceCache, inject, launch,
+from repro.gpusim import (FaultPlan, TraceCache, executor, inject, launch,
                           ledgers_equal, tracecache, use_cache)
 from repro.gpusim.device import GTX280, TESLA_C1060
+from repro.gpusim.serialize import launch_to_json
 from repro.kernels.api import run_kernel
+from repro.kernels.hybrid_kernel import cr_pcr_kernel
 from repro.numerics.generators import diagonally_dominant_fluid
+from repro.telemetry import callbacks
 from repro.verify.invariants import check_invariants
 from tests.conftest import make_systems
 
@@ -36,6 +41,41 @@ def echo_kernel(ctx, n):
             ctx.sstore(arr, ctx.lanes,
                        np.zeros((ctx.num_blocks, n), dtype=np.float32))
             ctx.sync()
+
+
+#: Every registry kernel with a NumPy twin, as ``run_kernel`` arguments.
+TWIN_LAUNCHES = [("cr", {}), ("pcr", {}), ("rd", {}),
+                 ("cr_pcr", {"intermediate_size": 16}),
+                 ("cr_rd", {"intermediate_size": 8}),
+                 ("thomas", {"layout": "sequential"}),
+                 ("thomas", {"layout": "interleaved"})]
+
+
+def _spy_twin(monkeypatch, kernel):
+    """Record calls to ``kernel``'s twin (and still compute)."""
+    calls = []
+    twin = kernel.numpy_twin
+
+    def spy(**kwargs):
+        calls.append(kwargs)
+        return twin(**kwargs)
+    monkeypatch.setattr(kernel, "numpy_twin", spy)
+    return calls
+
+
+def _recorded_callbacks(fn):
+    """``fn()``'s result and the callbacks it emitted, as tuples."""
+    seen = []
+
+    def record(info):
+        label = info.payload.get("name", info.payload.get("kernel"))
+        seen.append((info.domain, info.site, label))
+    handle = callbacks.subscribe(record)
+    try:
+        out = fn()
+    finally:
+        callbacks.unsubscribe(handle)
+    return out, seen
 
 
 class TestSignature:
@@ -123,7 +163,7 @@ class TestCacheBehaviour:
                        n=16)
         assert b.ledger.phase("work").flops != a.ledger.phase("work").flops
 
-    def test_fault_plan_bypasses(self):
+    def test_fault_plan_bypasses(self, monkeypatch):
         cache = TraceCache()
         with use_cache(cache):
             launch(sample_kernel, num_blocks=1, threads_per_block=16, n=16)
@@ -134,7 +174,20 @@ class TestCacheBehaviour:
         assert cache.bypasses == 1
         assert cache.hits == 0
 
-    def test_step_limit_bypasses(self):
+        # A registry kernel with a NumPy twin: faults must hit the
+        # simulated shared memory, so the twin never stands in.
+        twin_calls = _spy_twin(monkeypatch, cr_pcr_kernel)
+        systems = make_systems(2, 64, seed=5)
+        cache = TraceCache()
+        with use_cache(cache):
+            run_kernel("cr_pcr", systems)
+            with inject(FaultPlan(seed=3, shared_bitflip_rate=0.5)):
+                _x, res = run_kernel("cr_pcr", systems)
+        assert not res.trace_cached
+        assert twin_calls == []
+        assert (cache.hits, cache.bypasses) == (0, 1)
+
+    def test_step_limit_bypasses(self, monkeypatch):
         cache = TraceCache()
         with use_cache(cache):
             launch(sample_kernel, num_blocks=1, threads_per_block=16, n=16)
@@ -143,6 +196,17 @@ class TestCacheBehaviour:
         assert not res.trace_cached
         assert cache.bypasses == 1
         assert cache.hits == 0
+
+        twin_calls = _spy_twin(monkeypatch, cr_pcr_kernel)
+        systems = make_systems(2, 64, seed=5)
+        cache = TraceCache()
+        with use_cache(cache):
+            run_kernel("cr_pcr", systems)
+            _x, res = run_kernel("cr_pcr", systems, step_limit=2)
+        assert not res.trace_cached
+        assert twin_calls == []
+        assert res.ledger.total().steps == 2
+        assert (cache.hits, cache.bypasses) == (0, 1)
 
     def test_use_cache_none_disables(self):
         with use_cache(None):
@@ -159,6 +223,27 @@ class TestCacheBehaviour:
                 launch(sample_kernel, num_blocks=blocks,
                        threads_per_block=16, n=16)
         assert len(cache) == 2
+
+    def test_eviction_and_clear_drop_whole_entries(self):
+        systems = {n: make_systems(2, n, seed=1) for n in (16, 32)}
+        cache = TraceCache(max_entries=1)
+        with use_cache(cache):
+            _x, first = run_kernel("cr_pcr", systems[16])
+            run_kernel("cr_pcr", systems[32])        # evicts n=16 (FIFO)
+            _x, again = run_kernel("cr_pcr", systems[16])
+        # The evicted signature re-records: nothing of it was left to
+        # replay, so the simulator ran and stored a fresh entry.
+        assert not again.trace_cached
+        assert launch_to_json(again) == launch_to_json(first)
+        (entry,) = cache._entries.values()
+        assert entry.shared_bytes == first.shared_bytes
+        assert entry.phase_log[0] == ("begin", "global_load")
+        assert ledgers_equal(entry.ledger, first.ledger) == []
+        cache.clear()
+        assert len(cache) == 0
+        with use_cache(cache):
+            _x, after_clear = run_kernel("cr_pcr", systems[16])
+        assert not after_clear.trace_cached
 
     def test_default_cache_enabled_under_test(self):
         assert tracecache.default_cache() is not None
@@ -193,6 +278,48 @@ class TestSolverGridIdentity:
             x_warm, res = run_kernel("cr", systems)
         assert res.trace_cached
         np.testing.assert_array_equal(x_cold, x_warm)
+
+
+class TestTwinHits:
+    """A hit of a kernel with a NumPy twin is served without the
+    simulator, indistinguishably from the recording launch."""
+
+    @pytest.mark.parametrize("name,kw", TWIN_LAUNCHES,
+                             ids=["-".join([n, *map(str, k.values())])
+                                  for n, k in TWIN_LAUNCHES])
+    def test_hit_skips_simulator_and_matches_miss(self, name, kw,
+                                                  monkeypatch):
+        systems = make_systems(3, 64, seed=4)
+        cache = TraceCache()
+        with use_cache(cache):
+            (x_miss, miss), miss_cbs = _recorded_callbacks(
+                lambda: run_kernel(name, systems, **kw))
+
+            def no_context(*args, **kwargs):
+                raise AssertionError("a twin hit built a BlockContext")
+            monkeypatch.setattr(executor, "BlockContext", no_context)
+            (x_hit, hit), hit_cbs = _recorded_callbacks(
+                lambda: run_kernel(name, systems, **kw))
+        assert not miss.trace_cached and hit.trace_cached
+        np.testing.assert_array_equal(x_hit, x_miss)
+        assert x_hit.tobytes() == x_miss.tobytes()
+        assert launch_to_json(hit) == launch_to_json(miss)
+        # Exactly the launch and phase callbacks, in order; no steps.
+        assert hit_cbs == [cb for cb in miss_cbs
+                           if cb[0] != callbacks.DOMAIN_STEP]
+        assert any(cb[0] == callbacks.DOMAIN_STEP for cb in miss_cbs)
+
+    @pytest.mark.parametrize("name,n", [("rd", 256), ("cr_rd", 512)])
+    def test_hit_is_as_quiet_as_the_simulated_launch(self, name, n):
+        """The NumPy rd scan overflows on the §5.4 fluid matrices; the
+        kernels suppress that, and so must the twin."""
+        systems = diagonally_dominant_fluid(4, n, seed=0)
+        with warnings.catch_warnings(), use_cache(TraceCache()):
+            warnings.simplefilter("error")
+            x_miss, miss = run_kernel(name, systems)
+            x_hit, hit = run_kernel(name, systems)
+        assert not miss.trace_cached and hit.trace_cached
+        np.testing.assert_array_equal(x_hit, x_miss)
 
 
 class TestInvariantsThroughCache:

@@ -5,49 +5,93 @@ instrumented kernel and the vectorised NumPy solver execute the same
 float32 arithmetic -- results are bit-identical, and the counters obey
 basic conservation laws (global traffic = 5n words, steps match the
 closed forms, conflict degrees bounded by the bank count).
+
+The bitwise contract is what lets a trace-cache hit take ``x`` from the
+NumPy twin instead of simulating, so it is checked on every shape a hit
+serves: n up to 512, any hybrid switch point, both Thomas layouts,
+float64 inputs (cast to float32 as ``GlobalSystemArrays.from_systems``
+stages them) and inputs that produce inf/NaN.  The kernel side runs
+with the cache off, so every example is simulated.
 """
 
 import warnings
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 
+from repro.gpusim import KernelError, use_cache
 from repro.kernels.api import run_kernel
 from repro.numerics.generators import close_values, diagonally_dominant_fluid
 from repro.solvers.api import SOLVERS
+from repro.solvers.systems import TridiagonalSystems
 
 sizes = st.sampled_from([4, 8, 16, 32, 64])
+wide_sizes = st.sampled_from([4, 8, 16, 32, 64, 128, 256, 512])
 batches = st.integers(min_value=1, max_value=4)
 seeds = st.integers(min_value=0, max_value=10**6)
+dtypes = st.sampled_from([np.float32, np.float64])
+#: ``zero_pivot`` divides by zero (inf, then NaN); ``nan`` seeds one NaN.
+poisons = st.sampled_from([None, "zero_pivot", "nan"])
 
 
-def _gen(name, S, n, seed):
+def _gen(name, S, n, seed, dtype=np.float32, poison=None):
     gen = close_values if "rd" in name else diagonally_dominant_fluid
-    return gen(S, n, seed=seed)
+    s = gen(S, n, seed=seed, dtype=dtype)
+    if poison == "zero_pivot":
+        s.b[:, 0] = 0
+    elif poison == "nan":
+        s.d[:, n // 2] = np.nan
+    return s
 
 
-@settings(max_examples=20, deadline=None)
-@given(name=st.sampled_from(["cr", "pcr", "rd"]), n=sizes, S=batches,
-       seed=seeds)
-def test_kernel_equals_numpy_everywhere(name, n, S, seed):
-    s = _gen(name, S, n, seed)
-    with warnings.catch_warnings():
+def _staged(s):
+    """The float32 inputs a kernel sees (``from_systems``' cast)."""
+    return TridiagonalSystems(*(v.astype(np.float32)
+                                for v in (s.a, s.b, s.c, s.d)))
+
+
+def _kernel_and_numpy(name, s, m=None, **kw):
+    with warnings.catch_warnings(), use_cache(None):
         warnings.simplefilter("ignore")
-        x_k, _res = run_kernel(name, s)
-        x_np = SOLVERS[name](s, intermediate_size=None)
-    np.testing.assert_array_equal(x_k, x_np)
+        x_k, _res = run_kernel(name, s, intermediate_size=m, **kw)
+        x_np = SOLVERS[name](_staged(s), intermediate_size=m)
+    return x_k, x_np
 
 
-@settings(max_examples=20, deadline=None)
-@given(n=st.sampled_from([8, 16, 32, 64]), seed=seeds,
-       m_exp=st.integers(min_value=1, max_value=5))
-def test_hybrid_kernel_equals_numpy_for_any_switch_point(n, seed, m_exp):
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(["cr", "pcr", "rd", "thomas"]), n=wide_sizes,
+       S=batches, seed=seeds, dtype=dtypes, poison=poisons,
+       layout=st.sampled_from(["sequential", "interleaved"]))
+@example(name="rd", n=512, S=4, seed=0, dtype=np.float64, poison="nan",
+         layout="sequential")
+@example(name="thomas", n=512, S=4, seed=0, dtype=np.float64,
+         poison="zero_pivot", layout="interleaved")
+def test_kernel_equals_numpy_everywhere(name, n, S, seed, dtype, poison,
+                                        layout):
+    s = _gen(name, S, n, seed, dtype, poison)
+    kw = {"layout": layout} if name == "thomas" else {}
+    x_k, x_np = _kernel_and_numpy(name, s, **kw)
+    np.testing.assert_array_equal(x_k, x_np)   # NaN matches NaN
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(["cr_pcr", "cr_rd"]),
+       n=st.sampled_from([8, 16, 32, 64, 128, 256, 512]), seed=seeds,
+       m_exp=st.integers(min_value=1, max_value=9), dtype=dtypes,
+       poison=poisons)
+@example(name="cr_rd", n=512, seed=0, m_exp=7, dtype=np.float64,
+         poison="zero_pivot")
+@example(name="cr_pcr", n=512, seed=0, m_exp=8, dtype=np.float32,
+         poison="nan")
+def test_hybrid_kernel_equals_numpy_for_any_switch_point(name, n, seed,
+                                                         m_exp, dtype,
+                                                         poison):
     m = min(2 ** m_exp, n)
-    s = diagonally_dominant_fluid(2, n, seed=seed)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        x_k, _res = run_kernel("cr_pcr", s, intermediate_size=m)
-        x_np = SOLVERS["cr_pcr"](s, intermediate_size=m)
+    s = _gen(name, 2, n, seed, dtype, poison)
+    try:
+        x_k, x_np = _kernel_and_numpy(name, s, m)
+    except KernelError:
+        reject()     # over the shared-memory limit: never launched
     np.testing.assert_array_equal(x_k, x_np)
 
 
