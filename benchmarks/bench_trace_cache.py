@@ -3,15 +3,15 @@
 Two repeat-launch workloads, each timed with the launch-signature
 trace cache disabled ("before") and enabled ("after"):
 
-* the verify-grid workload -- every registry solver at every size,
-  swept ``--repeats`` times (the shape of ``repro verify`` /
-  ``repro bench`` sessions);
+* the verify-grid workload -- every kernel with a NumPy twin at every
+  size it fits, swept ``--repeats`` times (the shape of
+  ``repro verify`` / ``repro bench`` sessions);
 * a serve chaos run -- a chunked job on a pool with one hot device,
   where every healthy chunk shares the pool's cache.
 
 Besides wall-clock, the bench asserts what the cache promises: cached
 and uncached ledgers *and solutions* are bitwise-identical on the full
-solver x size grid (a hit takes ``x`` from the kernel's NumPy twin
+kernel x size grid (a hit takes ``x`` from the kernel's NumPy twin
 instead of simulating), and the repeat-launch hit rate clears 90% (the
 exit code gates on all of this -- CI runs ``--quick`` as a perf
 smoke).
@@ -22,28 +22,52 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from functools import partial
 
 from repro.gpusim import TraceCache, ledgers_equal, make_pool, use_cache
-from repro.kernels.api import run_kernel
+from repro.kernels.api import (run_cr_global, run_cr_split, run_kernel,
+                               run_pcr_pingpong)
+from repro.kernels.pcr_packed_kernel import run_pcr_packed
+from repro.kernels.thomas_kernel import run_thomas_per_thread
 from repro.numerics.generators import diagonally_dominant_fluid
 
 from _harness import emit, quiet, table
 
-SOLVERS = ("cr", "pcr", "rd", "cr_pcr", "cr_rd")
+#: Every kernel with a NumPy twin, as a runner mapping a batch to
+#: ``(x, LaunchResult)``.
+SOLVERS = {
+    "cr": partial(run_kernel, "cr"),
+    "pcr": partial(run_kernel, "pcr"),
+    "rd": partial(run_kernel, "rd"),
+    "cr_pcr": partial(run_kernel, "cr_pcr"),
+    "cr_rd": partial(run_kernel, "cr_rd"),
+    "thomas": partial(run_kernel, "thomas"),
+    "thomas_interleaved": partial(run_kernel, "thomas",
+                                  layout="interleaved"),
+    "pcr_pingpong": run_pcr_pingpong,
+    "pcr_packed": partial(run_pcr_packed, systems_per_block=2),
+    "cr_split": run_cr_split,
+    "cr_global": run_cr_global,
+    "thomas_per_thread": run_thomas_per_thread,
+}
+#: Largest n a kernel fits on the GT200 (shared memory, or threads per
+#: block for two packed systems); the rest fit every grid size.
+MAX_N = {"pcr_pingpong": 256, "pcr_packed": 256, "cr_split": 256}
 QUICK_SIZES = (8, 16, 32, 64)
 FULL_SIZES = (8, 16, 32, 64, 128, 256, 512)
 HIT_RATE_FLOOR = 0.90
 
 
 def _grid_pass(batches, cache):
-    """One sweep over the solver x size grid; returns per-cell
+    """One sweep over the kernel x size grid; returns per-cell
     ``(x, ledger)``."""
     cells = {}
     with use_cache(cache):
         for n, systems in batches.items():
-            for solver in SOLVERS:
-                x, res = run_kernel(solver, systems)
-                cells[(solver, n)] = (x, res.ledger)
+            for solver, run in SOLVERS.items():
+                if n <= MAX_N.get(solver, n):
+                    x, res = run(systems)
+                    cells[(solver, n)] = (x, res.ledger)
     return cells
 
 
@@ -121,8 +145,9 @@ def build_report(quick: bool, repeats: int) -> tuple[str, dict, bool]:
                  rows)
     identical = not grid["mismatched_cells"]
     x_identical = not grid["x_mismatched_cells"]
-    text += (f"\ngrid: {len(sizes)} sizes x {len(SOLVERS)} solvers x "
-             f"{repeats} repeats = {grid['launches']} launches")
+    text += (f"\ngrid: {grid['launches'] // repeats} cells "
+             f"({len(sizes)} sizes x {len(SOLVERS)} twinned kernels, where "
+             f"they fit) x {repeats} repeats = {grid['launches']} launches")
     text += ("\ncached vs uncached ledgers: "
              + ("bitwise-identical on every cell" if identical
                 else f"MISMATCH in {grid['mismatched_cells']}"))

@@ -36,7 +36,7 @@ from .serialize import (launch_to_dict, launch_to_json, ledger_from_dict,
                         ledger_to_dict, ledgers_equal,
                         timing_report_from_dict, timing_report_to_dict)
 from .tracecache import (TraceCache, default_cache, get_cache,
-                         launch_signature, set_default_cache, use_cache)
+                         launch_signature, use_cache)
 from .transfer import GLOBAL_ONLY_PENALTY, PCIeModel
 from .warp import is_contiguous_prefix, is_contiguous_range, warps_touched
 
@@ -64,5 +64,5 @@ __all__ = [
     "FAULT_RATE_FIELDS", "DevicePool", "PooledDevice", "derive_seed",
     "make_pool",
     "TraceCache", "default_cache", "get_cache", "launch_signature",
-    "set_default_cache", "use_cache",
+    "use_cache",
 ]

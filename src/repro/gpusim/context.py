@@ -76,23 +76,12 @@ class BlockContext:
         Grid size; every block runs the same code on its own data slice.
     threads_per_block:
         Block size; must not exceed ``device.max_threads_per_block``.
-    dtype:
-        Arithmetic precision.  The paper uses float32 throughout.
     check_contiguous_active:
         When True (default), raise if a kernel activates a
         non-contiguous lane set -- the paper's kernels never do, and a
         violation usually signals an indexing bug.  Set False to
         simulate divergent kernels (the cost model then charges extra
         warp issues).
-    record_trace:
-        When False, the functional float32 path runs unchanged (all
-        validation included) but no counters or costs are recorded and
-        the conflict/coalescing arithmetic is skipped entirely.  The
-        trace cache (:mod:`~repro.gpusim.tracecache`) uses this on a
-        hit of a kernel without a NumPy twin: the architectural trace
-        is a pure function of the launch signature, so a memoized
-        ledger replaces the recording pass.  (A hit of a kernel with a
-        twin builds no context at all.)
     engine:
         Execution engine (instance, name, or None for the vectorized
         default); see :mod:`~repro.gpusim.engine`.
@@ -109,11 +98,13 @@ class BlockContext:
         telemetry-silent).
     """
 
+    #: Arithmetic precision.  The paper uses float32 throughout.
+    dtype = np.dtype(np.float32)
+
     def __init__(self, device: DeviceSpec, num_blocks: int,
-                 threads_per_block: int, dtype=np.float32,
+                 threads_per_block: int,
                  check_contiguous_active: bool = True,
                  step_limit: int | None = None,
-                 record_trace: bool = True,
                  engine=None,
                  functional: bool = True,
                  emit_callbacks: bool = True):
@@ -126,15 +117,12 @@ class BlockContext:
         self.device = device
         self.num_blocks = int(num_blocks)
         self.threads_per_block = int(threads_per_block)
-        self.dtype = np.dtype(dtype)
         self.engine = resolve_engine(engine)
         self.functional = functional
         self.emit_callbacks = emit_callbacks
-        self.shared_space = SharedMemorySpace(self.num_blocks, device,
-                                              dtype=self.dtype)
+        self.shared_space = SharedMemorySpace(self.num_blocks, device)
         self.ledger = CounterLedger()
         self.check_contiguous_active = check_contiguous_active
-        self.record_trace = record_trace
         self._phase_name = "main"
         self._cur_pc: PhaseCounters | None = None
         self._active = self.engine.prefix_info(self.threads_per_block, device)
@@ -183,13 +171,10 @@ class BlockContext:
                     "active threads contiguous to avoid divergence (see §4). "
                     "Pass check_contiguous_active=False to allow this.")
             self._active = info
-            if self.record_trace:
-                pc = self._pc()
-                pc.warp_instructions += info.divergence
-        if self.record_trace:
-            pc = self._pc()
-            if self._active.lanes.size > pc.max_active_threads:
-                pc.max_active_threads = self._active.lanes.size
+            self._pc().warp_instructions += info.divergence
+        pc = self._pc()
+        if self._active.lanes.size > pc.max_active_threads:
+            pc.max_active_threads = self._active.lanes.size
         return self._active.lanes
 
     # ------------------------------------------------------------------
@@ -233,18 +218,6 @@ class BlockContext:
         if self._in_step:
             raise KernelError("steps do not nest")
         self._in_step = True
-        if not self.record_trace:
-            # Functional pass only: keep nesting and step-limit
-            # semantics, skip the snapshot/record/emit machinery.
-            try:
-                yield
-            finally:
-                self._in_step = False
-            self._steps_executed += 1
-            if (self.step_limit is not None
-                    and self._steps_executed >= self.step_limit):
-                raise StopKernel(self._steps_executed)
-            return
         pc0 = self._pc()
         before = dict(pc0.__dict__)
         index = self._phase_step_counts.get(self._phase_name, 0)
@@ -275,8 +248,7 @@ class BlockContext:
         atomically).  Under an active fault plan, a barrier is also a
         shared-memory upset opportunity (silent: GT200 shared memory
         has no ECC)."""
-        if self.record_trace:
-            self._pc().syncs += 1
+        self._pc().syncs += 1
         if not self.functional:
             return
         plan = _faults.active_plan()
@@ -306,8 +278,6 @@ class BlockContext:
             raise KernelError(
                 f"shared access out of bounds: [{mn}, {mx}] "
                 f"in array of {arr.words} words")
-        if not self.record_trace:
-            return
         info = self._active
         cycles, half_warps = self.engine.shared_cost(idx, info, self.device)
         pc = self._pc()
@@ -455,8 +425,6 @@ class BlockContext:
     # ------------------------------------------------------------------
 
     def _charge_global(self, idx: np.ndarray, repeat: int = 1) -> None:
-        if not self.record_trace:
-            return
         info = self._active
         pc = self._pc()
         # Half-warps are partitioned by lane id, exactly as the shared
@@ -565,8 +533,6 @@ class BlockContext:
         """
         if total < 0 or divs < 0 or divs > total:
             raise KernelError("invalid op counts")
-        if not self.record_trace:
-            return
         n_active = self.active_count
         inst = total if instructions is None else instructions
         pc = self._pc()

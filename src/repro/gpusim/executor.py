@@ -8,10 +8,8 @@ time using the device's occupancy rules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
-
-import numpy as np
 
 from repro.telemetry import callbacks as _cb
 from repro.telemetry import collector as _telemetry
@@ -41,10 +39,9 @@ class LaunchResult:
     device:
         The device the launch was simulated on.
     trace_cached:
-        True when ``ledger`` was replayed from the trace cache instead
-        of being recorded by this launch (bitwise-identical either
-        way).  A cached launch of a kernel with a NumPy twin did not
-        simulate at all: the twin computed the bitwise-equal solution
+        True when the launch was a trace-cache hit: it did not
+        simulate at all.  ``ledger`` was replayed from the cache and
+        the kernel's NumPy twin computed the bitwise-equal solution
         (see :mod:`~repro.gpusim.tracecache`).
     """
 
@@ -69,7 +66,7 @@ class LaunchResult:
 
 def launch(kernel: Callable[..., Any], *, num_blocks: int,
            threads_per_block: int, device: DeviceSpec = GTX280,
-           dtype=np.float32, check_contiguous_active: bool = True,
+           check_contiguous_active: bool = True,
            step_limit: int | None = None, max_launch_attempts: int = 3,
            retry_backoff_s: float = 0.0, engine=None,
            **kernel_args) -> LaunchResult:
@@ -120,7 +117,7 @@ def launch(kernel: Callable[..., Any], *, num_blocks: int,
                                       rng=plan.rng)
                 continue
         return _launch_once(kernel, kernel_name, num_blocks,
-                            threads_per_block, device, dtype,
+                            threads_per_block, device,
                             check_contiguous_active, step_limit, plan,
                             kernel_args, engine=engine)
     raise AssertionError("unreachable")  # pragma: no cover
@@ -128,7 +125,7 @@ def launch(kernel: Callable[..., Any], *, num_blocks: int,
 
 def _reference_execute(kernel: Callable[..., Any], *, num_blocks: int,
                        threads_per_block: int, device: DeviceSpec = GTX280,
-                       dtype=np.float32, check_contiguous_active: bool = True,
+                       check_contiguous_active: bool = True,
                        step_limit: int | None = None,
                        **kernel_args) -> LaunchResult:
     """Run ``kernel`` on the per-lane :class:`~repro.gpusim.engine.ReferenceEngine`.
@@ -143,47 +140,45 @@ def _reference_execute(kernel: Callable[..., Any], *, num_blocks: int,
     with _tracecache.use_cache(None):
         return launch(kernel, num_blocks=num_blocks,
                       threads_per_block=threads_per_block, device=device,
-                      dtype=dtype,
                       check_contiguous_active=check_contiguous_active,
                       step_limit=step_limit, engine="reference",
                       **kernel_args)
 
 
 def _launch_once(kernel, kernel_name, num_blocks, threads_per_block, device,
-                 dtype, check_contiguous_active, step_limit, plan,
+                 check_contiguous_active, step_limit, plan,
                  kernel_args, engine=None) -> LaunchResult:
     """One successful launch attempt (the pre-fault-injection body)."""
     cache = _tracecache.get_cache()
+    twin = getattr(kernel, "numpy_twin", None)
     key = None
-    entry = None
     if cache is not None:
-        if plan is not None or step_limit is not None:
-            # Injected faults perturb the run; differential timing
-            # must re-trace its truncated schedule.  Both re-record.
-            cache.record_bypass(kernel_name,
-                                reason=("fault_plan" if plan is not None
-                                        else "step_limit"))
+        # Injected faults perturb the run; differential timing must
+        # re-trace its truncated schedule; a kernel without a twin has
+        # nothing to serve a hit's solution.  All three simulate.
+        if plan is not None:
+            cache.record_bypass(kernel_name, reason="fault_plan")
+        elif step_limit is not None:
+            cache.record_bypass(kernel_name, reason="step_limit")
+        elif twin is None:
+            cache.record_bypass(kernel_name, reason="no_twin")
         else:
             key = _tracecache.launch_signature(
                 kernel, num_blocks=num_blocks,
                 threads_per_block=threads_per_block, device=device,
-                dtype=dtype, check_contiguous_active=check_contiguous_active,
+                check_contiguous_active=check_contiguous_active,
                 kernel_args=kernel_args)
             if key is None:
                 cache.record_bypass(kernel_name)
             else:
                 entry = cache.lookup(key, kernel=kernel_name)
-    twin = getattr(kernel, "numpy_twin", None)
-    # Twins compute in float32; any other dtype runs the kernel itself.
-    if (entry is not None and twin is not None
-            and np.dtype(dtype) == np.float32):
-        return _replay_hit(twin, entry, kernel_name, num_blocks,
-                           threads_per_block, device, kernel_args)
-    ctx = BlockContext(device, num_blocks, threads_per_block, dtype=dtype,
+                if entry is not None:
+                    return _replay_hit(twin, entry, kernel_name, num_blocks,
+                                       threads_per_block, device,
+                                       kernel_args)
+    ctx = BlockContext(device, num_blocks, threads_per_block,
                        check_contiguous_active=check_contiguous_active,
-                       step_limit=step_limit,
-                       record_trace=entry is None,
-                       engine=engine)
+                       step_limit=step_limit, engine=engine)
     _cb.emit(_cb.DOMAIN_LAUNCH, _cb.SITE_BEGIN, kernel=kernel_name,
              num_blocks=num_blocks, threads_per_block=threads_per_block,
              device=device.name)
@@ -193,18 +188,17 @@ def _launch_once(kernel, kernel_name, num_blocks, threads_per_block, device,
             outputs = kernel(ctx, **kernel_args)
         except StopKernel:
             outputs = None
-        if key is not None and entry is None:
+        if key is not None:
             cache.store(key, ctx.ledger,
                         shared_bytes=ctx.shared_space.bytes_allocated,
-                        phase_log=ctx.phase_log, kernel=kernel_name)
+                        phase_log=ctx.phase_log)
         result = LaunchResult(
             outputs=outputs,
-            ledger=ctx.ledger if entry is None else entry.ledger,
+            ledger=ctx.ledger,
             num_blocks=num_blocks,
             threads_per_block=threads_per_block,
             shared_bytes=ctx.shared_space.bytes_allocated,
             device=device,
-            trace_cached=entry is not None,
         )
         if plan is not None:
             detected = plan.corrupt_global_arrays(

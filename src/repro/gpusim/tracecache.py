@@ -2,7 +2,7 @@
 
 The :class:`~repro.gpusim.counters.CounterLedger` a launch records is a
 pure function of the *launch signature* -- kernel identity, structural
-argument shapes, grid/block geometry, device spec, dtype and the
+argument shapes, grid/block geometry, device spec and the
 contiguity-check flag -- never of the data values flowing through the
 solver (the paper's kernels have data-independent schedules; the
 differential harness checks that assumption separately).  Repeat-launch
@@ -16,40 +16,43 @@ an identical trace on every launch.  This module memoizes it:
   (ledgers privately copied) and keeps hit/miss/bypass statistics,
   exported as ``gpusim.trace_cache.*`` telemetry counters when a
   collector is active.
-* The executor consults :func:`get_cache`.  A miss stores one
-  :class:`TraceEntry`: the recorded ledger, the static shared-memory
-  footprint and the ordered log of phase begin/end callbacks the
-  recording run emitted.
+* The executor consults :func:`get_cache`.  A miss simulates the launch
+  and stores one :class:`TraceEntry`: the recorded ledger, the static
+  shared-memory footprint and the ordered log of phase begin/end
+  callbacks the recording run emitted.
 
-Hit rule: a kernel carrying a ``numpy_twin`` attribute (every registry
-kernel with a bitwise-equal NumPy solver; see
-:mod:`repro.kernels.common`) skips the simulator entirely on a hit.
-The executor emits launch begin, replays the logged phase callbacks,
-lets the twin write the float32 solution into ``gmem.x`` and emits
-launch end -- no :class:`~repro.gpusim.context.BlockContext`, no
-engine.  A kernel without a twin still runs functionally on a hit
-(real float32 outputs, ``record_trace=False``).  Either way a private
-copy of the cached ledger is attached to the
+Hit rule: only kernels carrying a ``numpy_twin`` attribute are looked
+up (every kernel with a bitwise-equal NumPy solver; see
+:mod:`repro.kernels.common`), and a hit never simulates.  The executor
+emits launch begin, replays the logged phase callbacks, lets the twin
+write the float32 solution into ``gmem.x`` and emits launch end -- no
+:class:`~repro.gpusim.context.BlockContext`, no engine.  A private copy
+of the cached ledger is attached to the
 :class:`~repro.gpusim.executor.LaunchResult`, and a hit emits exactly
 the launch and phase callbacks the recording run did (no step
 callbacks).
 
-Bypass rule: the cache is skipped entirely whenever a
-:class:`~repro.gpusim.faults.FaultPlan` is active (injected faults
-perturb both execution and counters) or ``step_limit`` is set (the
-differential-timing probe must re-trace its truncated run), and for
-kernels or arguments without a stable structural identity.  Bypassed
-launches always run the simulator, never the twin.
+Bypass rule: the cache is skipped, and the launch simulated in full,
+for these ``reason`` labels:
 
-A process-wide default cache is enabled by default; set the
-environment variable ``REPRO_TRACE_CACHE=0`` to disable it, or scope a
-specific cache (e.g. a :class:`~repro.gpusim.pool.DevicePool`'s shared
-one) with :func:`use_cache`.
+* ``fault_plan`` -- a :class:`~repro.gpusim.faults.FaultPlan` is active
+  (injected faults perturb both execution and counters);
+* ``step_limit`` -- the differential-timing probe must re-trace its
+  truncated run;
+* ``no_twin`` -- the kernel has no NumPy twin to compute a hit's
+  solution;
+* ``opaque_signature`` -- the kernel or its arguments have no stable
+  structural identity.
+
+Bypassed launches always run the simulator, never the twin.
+
+A process-wide default cache is always present; scope a specific cache
+(e.g. a :class:`~repro.gpusim.pool.DevicePool`'s shared one) with
+:func:`use_cache`, or turn memoization off with ``use_cache(None)``.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from contextlib import contextmanager
 from typing import Any, NamedTuple
@@ -58,9 +61,6 @@ import numpy as np
 
 from .counters import CounterLedger
 from .device import DeviceSpec
-
-#: Environment flag controlling the process-wide default cache.
-ENV_FLAG = "REPRO_TRACE_CACHE"
 
 #: Sentinel for "no stable structural identity" (forces a bypass).
 _OPAQUE = object()
@@ -106,7 +106,7 @@ def _token(value: Any) -> Any:
 
 
 def launch_signature(kernel, *, num_blocks: int, threads_per_block: int,
-                     device: DeviceSpec, dtype, check_contiguous_active: bool,
+                     device: DeviceSpec, check_contiguous_active: bool,
                      kernel_args: dict) -> tuple | None:
     """Cache key for one launch, or ``None`` when not memoizable.
 
@@ -128,7 +128,7 @@ def launch_signature(kernel, *, num_blocks: int, threads_per_block: int,
             return None
         arg_tokens.append((name, tok))
     return (f"{module}.{qualname}", int(num_blocks), int(threads_per_block),
-            device, str(np.dtype(dtype)), bool(check_contiguous_active),
+            device, bool(check_contiguous_active),
             tuple(arg_tokens))
 
 
@@ -186,7 +186,7 @@ class TraceCache:
         return entry
 
     def store(self, key, ledger: CounterLedger, *, shared_bytes: int,
-              phase_log, kernel: str = "?") -> None:
+              phase_log) -> None:
         entry = TraceEntry(ledger.copy(), int(shared_bytes),
                            tuple(phase_log))
         with self._lock:
@@ -219,12 +219,7 @@ class TraceCache:
             self.hits = self.misses = self.bypasses = 0
 
 
-def _env_enabled() -> bool:
-    return os.environ.get(ENV_FLAG, "1").strip().lower() not in (
-        "0", "false", "off", "no")
-
-
-_process_cache: TraceCache | None = TraceCache() if _env_enabled() else None
+_process_cache = TraceCache()
 _override: list[TraceCache | None] = []
 
 
@@ -235,17 +230,9 @@ def get_cache() -> TraceCache | None:
     return _process_cache
 
 
-def default_cache() -> TraceCache | None:
+def default_cache() -> TraceCache:
     """The process-wide default cache (ignores :func:`use_cache` scopes)."""
     return _process_cache
-
-
-def set_default_cache(cache: TraceCache | None) -> TraceCache | None:
-    """Replace the process-wide default; returns the previous one."""
-    global _process_cache
-    prev = _process_cache
-    _process_cache = cache
-    return prev
 
 
 @contextmanager

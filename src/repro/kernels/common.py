@@ -91,20 +91,23 @@ class GlobalSystemArrays:
 
 
 def numpy_twin(solve: Callable[..., np.ndarray]) -> Callable[..., None]:
-    """The NumPy twin of a registry kernel, set as ``kernel.numpy_twin``.
+    """The NumPy twin of a kernel, set as ``kernel.numpy_twin``.
 
     ``solve`` is the NumPy solver whose float32 arithmetic the kernel
-    executes bit for bit (``tests/kernels/test_property_kernels.py``).
-    On a trace-cache hit the executor calls the twin with the kernel's
-    own arguments instead of simulating: it solves the float32 inputs
-    ``gmem`` staged and writes the solution into ``gmem.x``.  It runs
-    under the floating-point suppression the kernels' arithmetic uses,
-    so a hit never warns (or raises) where the simulated launch is
-    silent.
+    executes bit for bit, NaN sign bits included
+    (``tests/kernels/test_property_kernels.py``).  On a trace-cache hit
+    the executor calls the twin with the kernel's own arguments instead
+    of simulating: it solves the float32 inputs ``gmem`` staged and
+    writes the solution into ``gmem.x``.  Arguments that move only cost
+    or the thread mapping are dropped; the rest (a hybrid's
+    ``intermediate_size``) go to ``solve``.  It runs under the
+    floating-point suppression the kernels' arithmetic uses, so a hit
+    never warns (or raises) where the simulated launch is silent.
     """
     def twin(gmem, conflict_free_timing: bool = False,
-             **solver_args) -> None:
-        # conflict_free_timing moves CR's cost, never its values.
+             systems_per_block: int = 1, **solver_args) -> None:
+        # conflict_free_timing moves CR's cost and systems_per_block
+        # packs PCR systems into one block; neither changes a value.
         with np.errstate(all="ignore"):
             x = solve(TridiagonalSystems(*gmem.input_planes()),
                       **solver_args)

@@ -19,8 +19,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.gpusim import BlockContext
+from repro.solvers.cr import cyclic_reduction
 
-from .common import GlobalSystemArrays, log2_int
+from .common import GlobalSystemArrays, log2_int, numpy_twin
 
 PHASE_FORWARD = "forward_reduction"
 PHASE_SOLVE_TWO = "solve_two"
@@ -97,3 +98,6 @@ def cr_global_kernel(ctx: BlockContext, gmem: GlobalSystemArrays) -> None:
                 ctx.gstore(gx, bases, i, xv)
                 ctx.sync()
             stride = half
+
+
+cr_global_kernel.numpy_twin = numpy_twin(cyclic_reduction)

@@ -29,9 +29,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.gpusim import BlockContext
+from repro.solvers.cr import cyclic_reduction
 
 from .common import (PHASE_GLOBAL_LOAD, PHASE_GLOBAL_STORE,
-                     GlobalSystemArrays, log2_int)
+                     GlobalSystemArrays, log2_int, numpy_twin)
 
 PHASE_FORWARD = "forward_reduction"
 PHASE_SOLVE_TWO = "solve_two"
@@ -200,6 +201,9 @@ def cr_split_kernel(ctx: BlockContext, gmem: GlobalSystemArrays) -> None:
                            lay.odd(0, i // 2))
             vals = ctx.sload(sx, src)
             ctx.gstore(gmem.x, bases, i, vals)
+
+
+cr_split_kernel.numpy_twin = numpy_twin(cyclic_reduction)
 
 
 def split_footprint_words(n: int, banks: int = 16) -> int:

@@ -18,8 +18,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.gpusim import BlockContext, KernelError
+from repro.solvers.pcr import parallel_cyclic_reduction
 
-from .common import GlobalSystemArrays, log2_int
+from .common import GlobalSystemArrays, log2_int, numpy_twin
 
 PHASE_GLOBAL_LOAD = "global_load"
 PHASE_FORWARD = "forward_reduction"
@@ -114,6 +115,9 @@ def pcr_packed_kernel(ctx: BlockContext, gmem: GlobalSystemArrays,
         ctx.set_active(width)
         i = ctx.lanes
         ctx.gstore(gmem.x, bases, i, ctx.sload(sx, i))
+
+
+pcr_packed_kernel.numpy_twin = numpy_twin(parallel_cyclic_reduction)
 
 
 def run_pcr_packed(systems, systems_per_block: int, device=None):

@@ -18,10 +18,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.gpusim import BlockContext
+from repro.solvers.pcr import parallel_cyclic_reduction
 
 from .common import (PHASE_GLOBAL_LOAD, PHASE_GLOBAL_STORE,
-                     GlobalSystemArrays, log2_int, stage_inputs_to_shared,
-                     store_solution_from_shared)
+                     GlobalSystemArrays, log2_int, numpy_twin,
+                     stage_inputs_to_shared, store_solution_from_shared)
 from .pcr_kernel import pcr_solve_two_step
 
 PHASE_FORWARD = "forward_reduction"
@@ -75,3 +76,6 @@ def pcr_pingpong_kernel(ctx: BlockContext, gmem: GlobalSystemArrays) -> None:
     with ctx.phase(PHASE_GLOBAL_STORE):
         ctx.set_active(n)
         store_solution_from_shared(ctx, gmem, sx, elems_per_thread=1)
+
+
+pcr_pingpong_kernel.numpy_twin = numpy_twin(parallel_cyclic_reduction)

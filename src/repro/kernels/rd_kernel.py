@@ -106,7 +106,8 @@ def rd_solution_evaluation(ctx: BlockContext, rows, sx0, n: int,
     last = one + (n - 1)
     c00_last, c02_last = ctx.sload_multi((r00, r02), last)
     with np.errstate(divide="ignore", invalid="ignore"):
-        x0 = -c02_last / c00_last
+        # Divisor negated, as in repro.solvers.rd (NaN sign parity).
+        x0 = c02_last / -c00_last
     ctx.ops(2, divs=1)
     ctx.sstore(sx0, one, x0)
     ctx.sync()

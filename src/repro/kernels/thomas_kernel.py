@@ -79,18 +79,17 @@ def _thomas_sweep(ctx: BlockContext, gmem, bases: np.ndarray, addr,
                 ctx.gstore(gx, bases, addr(i), xv)
 
 
-def thomas_per_thread_kernel(ctx: BlockContext, gmem: GlobalSystemArrays,
-                             interleaved: bool = False) -> None:
+def thomas_per_thread_kernel(ctx: BlockContext,
+                             gmem: GlobalSystemArrays) -> None:
     """Each thread solves one full system straight out of global memory.
 
-    One block of ``min(S, max_threads)`` threads; lane t owns system
-    ``block_offset + t``.  With ``interleaved=True`` the cost model
-    sees the transposed layout (element i of all systems adjacent), the
-    standard fix real batched-solver libraries use.
+    One block of ``min(S, max_threads)`` threads; lane t owns system t,
+    every access strided by ``n``.
 
     Single-block demo form kept for the pinned golden traces; the
     multi-block production kernels are
-    :func:`thomas_sequential_kernel` / :func:`thomas_interleaved_kernel`.
+    :func:`thomas_sequential_kernel` / :func:`thomas_interleaved_kernel`
+    (the coalesced layout).
     """
     S, n = gmem.num_systems, gmem.n
     # All systems in one conceptual block row: the simulator runs the
@@ -105,9 +104,6 @@ def thomas_per_thread_kernel(ctx: BlockContext, gmem: GlobalSystemArrays,
     lanes = ctx.lanes
 
     def addr(i: int) -> np.ndarray:
-        if interleaved:
-            # Transposed layout: element i of every system contiguous.
-            return i * S + lanes
         return lanes * n + i
 
     _thomas_sweep(ctx, gmem, bases, addr, n)
@@ -160,6 +156,7 @@ def thomas_interleaved_kernel(ctx: BlockContext,
     _thomas_sweep(ctx, gmem, bases, addr, n)
 
 
+thomas_per_thread_kernel.numpy_twin = numpy_twin(thomas_batched)
 thomas_sequential_kernel.numpy_twin = numpy_twin(thomas_batched)
 thomas_interleaved_kernel.numpy_twin = numpy_twin(thomas_batched)
 
@@ -242,6 +239,5 @@ def run_thomas_per_thread(systems: TridiagonalSystems,
                                 layout="interleaved")
     gmem = GlobalSystemArrays.from_systems(systems)
     result = launch(thomas_per_thread_kernel, num_blocks=1,
-                    threads_per_block=S, device=device, gmem=gmem,
-                    interleaved=False)
+                    threads_per_block=S, device=device, gmem=gmem)
     return gmem.solution(), result

@@ -105,7 +105,9 @@ def evaluate_solution(scanned: np.ndarray) -> np.ndarray:
     S, n, _ = scanned.shape
     x = np.empty((S, n), dtype=scanned.dtype)
     with np.errstate(divide="ignore", invalid="ignore"):
-        x0 = -scanned[:, n - 1, R02] / scanned[:, n - 1, R00]
+        # Negate the divisor, not the dividend: same value, but a NaN
+        # C[0,2] keeps its sign, so NaN words match the RD kernels'.
+        x0 = scanned[:, n - 1, R02] / -scanned[:, n - 1, R00]
     x[:, 0] = x0
     x[:, 1:] = (scanned[:, :-1, R00] * x0[:, None]
                 + scanned[:, :-1, R02])

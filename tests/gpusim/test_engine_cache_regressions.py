@@ -1,23 +1,15 @@
 """Regressions for the engine/cache/estimator seams.
 
-Three properties the vectorized-engine refactor must not disturb:
+Two properties the vectorized-engine refactor must not disturb:
 
 1. The execution engine is *not* part of the trace-cache launch
    signature -- a trace recorded under one engine is a valid,
    bitwise-identical hit for the other.
-2. ``REPRO_TRACE_CACHE=0`` still disables the process default cache
-   (checked in a subprocess, since the flag is read at import).
-3. The serve scheduler's admission estimates now come from the
+2. The serve scheduler's admission estimates now come from the
    analytic estimator: no functional launch, no trace-cache traffic,
    same modeled milliseconds as before the switch.
 """
 
-import json
-import os
-import subprocess
-import sys
-
-import numpy as np
 import pytest
 
 from repro.gpusim import TraceCache, ledgers_equal, use_cache
@@ -64,44 +56,6 @@ class TestCrossEngineCacheHits:
             second.ledger.phases.clear()
             _x, third = run_kernel("pcr", systems)
         assert ledgers_equal(first.ledger, third.ledger) == []
-
-
-class TestEnvFlagBypass:
-    def _probe(self, env_value):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = "src"
-        if env_value is None:
-            env.pop("REPRO_TRACE_CACHE", None)
-        else:
-            env["REPRO_TRACE_CACHE"] = env_value
-        code = (
-            "import json\n"
-            "from repro.gpusim import tracecache, ledgers_equal\n"
-            "from repro.kernels.api import run_kernel\n"
-            "from repro.numerics.generators import "
-            "diagonally_dominant_fluid\n"
-            "systems = diagonally_dominant_fluid(2, 16, seed=0)\n"
-            "_x, a = run_kernel('cr', systems)\n"
-            "_x, b = run_kernel('cr', systems)\n"
-            "cache = tracecache.default_cache()\n"
-            "print(json.dumps({\n"
-            "    'has_cache': cache is not None,\n"
-            "    'second_cached': b.trace_cached,\n"
-            "    'equal': ledgers_equal(a.ledger, b.ledger) == []}))\n")
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True,
-                             cwd=os.getcwd())
-        return json.loads(out.stdout.strip().splitlines()[-1])
-
-    def test_flag_zero_disables_default_cache(self):
-        probe = self._probe("0")
-        assert probe == {"has_cache": False, "second_cached": False,
-                         "equal": True}
-
-    def test_flag_absent_enables_default_cache(self):
-        probe = self._probe(None)
-        assert probe == {"has_cache": True, "second_cached": True,
-                         "equal": True}
 
 
 class TestServeEstimatePath:

@@ -1,6 +1,7 @@
 """Launch-signature trace memoization: correctness and bypass rules."""
 
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,8 +11,11 @@ from repro.gpusim import (FaultPlan, TraceCache, executor, inject, launch,
                           ledgers_equal, tracecache, use_cache)
 from repro.gpusim.device import GTX280, TESLA_C1060
 from repro.gpusim.serialize import launch_to_json
-from repro.kernels.api import run_kernel
+from repro.kernels.api import (run_cr_global, run_cr_split, run_kernel,
+                               run_pcr_pingpong, run_rd_full)
 from repro.kernels.hybrid_kernel import cr_pcr_kernel
+from repro.kernels.pcr_packed_kernel import run_pcr_packed
+from repro.kernels.thomas_kernel import run_thomas_per_thread
 from repro.numerics.generators import diagonally_dominant_fluid
 from repro.telemetry import callbacks
 from repro.verify.invariants import check_invariants
@@ -29,7 +33,15 @@ def sample_kernel(ctx, n):
             v = ctx.sload(arr, i)
             ctx.ops(2)
             ctx.sync()
-    return v
+    return v[0]
+
+
+def _sample_twin(n):
+    """``sample_kernel``'s NumPy twin: every lane reads back a one."""
+    return np.ones(n, dtype=np.float32)
+
+
+sample_kernel.numpy_twin = _sample_twin
 
 
 def echo_kernel(ctx, n):
@@ -43,12 +55,23 @@ def echo_kernel(ctx, n):
             ctx.sync()
 
 
-#: Every registry kernel with a NumPy twin, as ``run_kernel`` arguments.
-TWIN_LAUNCHES = [("cr", {}), ("pcr", {}), ("rd", {}),
-                 ("cr_pcr", {"intermediate_size": 16}),
-                 ("cr_rd", {"intermediate_size": 8}),
-                 ("thomas", {"layout": "sequential"}),
-                 ("thomas", {"layout": "interleaved"})]
+#: Every kernel with a NumPy twin, as a runner mapping a batch to
+#: ``(x, LaunchResult)``.
+TWIN_LAUNCHES = {
+    "cr": partial(run_kernel, "cr"),
+    "pcr": partial(run_kernel, "pcr"),
+    "rd": partial(run_kernel, "rd"),
+    "cr_pcr-16": partial(run_kernel, "cr_pcr", intermediate_size=16),
+    "cr_rd-8": partial(run_kernel, "cr_rd", intermediate_size=8),
+    "thomas-sequential": partial(run_kernel, "thomas", layout="sequential"),
+    "thomas-interleaved": partial(run_kernel, "thomas",
+                                  layout="interleaved"),
+    "pcr_pingpong": run_pcr_pingpong,
+    "pcr_packed-3": partial(run_pcr_packed, systems_per_block=3),
+    "cr_split": run_cr_split,
+    "cr_global": run_cr_global,
+    "thomas_per_thread": run_thomas_per_thread,
+}
 
 
 def _spy_twin(monkeypatch, kernel):
@@ -81,8 +104,7 @@ def _recorded_callbacks(fn):
 class TestSignature:
     def kw(self, **over):
         kw = dict(num_blocks=2, threads_per_block=32, device=GTX280,
-                  dtype=np.float32, check_contiguous_active=True,
-                  kernel_args={"n": 32})
+                  check_contiguous_active=True, kernel_args={"n": 32})
         kw.update(over)
         return kw
 
@@ -93,7 +115,7 @@ class TestSignature:
     def test_every_dimension_discriminates(self):
         base = tracecache.launch_signature(sample_kernel, **self.kw())
         for over in (dict(num_blocks=3), dict(threads_per_block=64),
-                     dict(device=TESLA_C1060), dict(dtype=np.float64),
+                     dict(device=TESLA_C1060),
                      dict(check_contiguous_active=False),
                      dict(kernel_args={"n": 16})):
             assert tracecache.launch_signature(
@@ -142,15 +164,36 @@ class TestCacheBehaviour:
                                  "entries": 1, "hit_rate": 0.5}
         assert ledgers_equal(cold.ledger, warm.ledger) == []
 
-    def test_functional_outputs_still_computed_on_hit(self):
+    def test_functional_outputs_still_computed_on_hit(self, monkeypatch):
+        """A hit still returns the kernel's outputs; the twin computes
+        them."""
         cache = TraceCache()
         with use_cache(cache):
-            launch(sample_kernel, num_blocks=1, threads_per_block=16, n=16)
+            cold = launch(sample_kernel, num_blocks=1, threads_per_block=16,
+                          n=16)
+            twin_calls = _spy_twin(monkeypatch, sample_kernel)
             warm = launch(sample_kernel, num_blocks=1, threads_per_block=16,
                           n=16)
         assert warm.trace_cached
-        np.testing.assert_array_equal(warm.outputs,
-                                      np.ones((1, 16), dtype=np.float32))
+        assert twin_calls == [{"n": 16}]
+        assert warm.outputs.tobytes() == cold.outputs.tobytes()
+
+    def test_kernel_without_twin_bypasses(self):
+        """``rd_full`` has no twin: every launch simulates, none is
+        looked up, and the bypass is labelled ``no_twin``."""
+        systems = make_systems(2, 32, seed=6)
+        with use_cache(None):
+            x_cold, _ = run_rd_full(systems)
+        cache = TraceCache()
+        with telemetry.collect() as col, use_cache(cache):
+            results = [run_rd_full(systems) for _ in range(2)]
+        assert [res.trace_cached for _x, res in results] == [False, False]
+        for x, _res in results:
+            assert x.tobytes() == x_cold.tobytes()
+        assert cache.stats() == {"hits": 0, "misses": 0, "bypasses": 2,
+                                 "entries": 0, "hit_rate": 0.0}
+        assert col.metrics.counter("gpusim.trace_cache.bypasses").value(
+            kernel="rd_full_kernel", reason="no_twin", cache="default") == 2
 
     def test_returned_ledger_is_a_private_copy(self):
         cache = TraceCache()
@@ -259,14 +302,14 @@ class TestSolverGridIdentity:
     def test_cached_ledger_bitwise_identical(self, kernel, n):
         systems = make_systems(2, n, seed=3)
         with use_cache(None):
-            _x, cold = run_kernel(kernel, systems)
+            x_cold, cold = run_kernel(kernel, systems)
         cache = TraceCache()
         with use_cache(cache):
             run_kernel(kernel, systems)
-            _x, warm = run_kernel(kernel, systems)
+            x_warm, warm = run_kernel(kernel, systems)
         assert warm.trace_cached
         assert ledgers_equal(cold.ledger, warm.ledger) == []
-        np.testing.assert_array_equal(_x, _x)
+        assert x_warm.tobytes() == x_cold.tobytes()
 
     def test_solutions_identical_through_cache(self):
         systems = make_systems(4, 64, seed=8)
@@ -284,24 +327,21 @@ class TestTwinHits:
     """A hit of a kernel with a NumPy twin is served without the
     simulator, indistinguishably from the recording launch."""
 
-    @pytest.mark.parametrize("name,kw", TWIN_LAUNCHES,
-                             ids=["-".join([n, *map(str, k.values())])
-                                  for n, k in TWIN_LAUNCHES])
-    def test_hit_skips_simulator_and_matches_miss(self, name, kw,
-                                                  monkeypatch):
+    @pytest.mark.parametrize("run", TWIN_LAUNCHES.values(),
+                             ids=TWIN_LAUNCHES.keys())
+    def test_hit_skips_simulator_and_matches_miss(self, run, monkeypatch):
         systems = make_systems(3, 64, seed=4)
         cache = TraceCache()
         with use_cache(cache):
             (x_miss, miss), miss_cbs = _recorded_callbacks(
-                lambda: run_kernel(name, systems, **kw))
+                lambda: run(systems))
 
             def no_context(*args, **kwargs):
                 raise AssertionError("a twin hit built a BlockContext")
             monkeypatch.setattr(executor, "BlockContext", no_context)
             (x_hit, hit), hit_cbs = _recorded_callbacks(
-                lambda: run_kernel(name, systems, **kw))
+                lambda: run(systems))
         assert not miss.trace_cached and hit.trace_cached
-        np.testing.assert_array_equal(x_hit, x_miss)
         assert x_hit.tobytes() == x_miss.tobytes()
         assert launch_to_json(hit) == launch_to_json(miss)
         # Exactly the launch and phase callbacks, in order; no steps.

@@ -211,8 +211,7 @@ class TestTraceSignatures:
             gmem = GlobalSystemArrays.from_systems(systems)
             sigs.append(launch_signature(
                 kernel, num_blocks=2, threads_per_block=threads,
-                device=GTX280, dtype=np.float32,
-                check_contiguous_active=True,
+                device=GTX280, check_contiguous_active=True,
                 kernel_args={"gmem": gmem, **extra}))
         assert sigs[0] is not None
         assert sigs[0] == sigs[1]
@@ -226,8 +225,7 @@ class TestTraceSignatures:
         systems = diagonally_dominant_fluid(num_systems, n, seed=1)
         gmem = GlobalSystemArrays.from_systems(systems)
         args = dict(num_blocks=num_systems, threads_per_block=threads,
-                    device=GTX280, dtype=np.float32,
-                    check_contiguous_active=True,
+                    device=GTX280, check_contiguous_active=True,
                     kernel_args={"gmem": gmem, **extra})
         assert launch_signature(kernel, **args) == \
             launch_signature(kernel, **args)
