@@ -89,22 +89,18 @@ class PhaseCounters:
 
     def merge(self, other: "PhaseCounters") -> None:
         """Accumulate ``other`` into this record in place."""
-        for f in fields(self):
-            if f.name == "max_active_threads":
-                self.max_active_threads = max(self.max_active_threads,
-                                              other.max_active_threads)
-            else:
-                setattr(self, f.name,
-                        getattr(self, f.name) + getattr(other, f.name))
+        mine, theirs = self.__dict__, other.__dict__
+        for name in _ADDITIVE_FIELDS:
+            mine[name] = mine[name] + theirs[name]
+        self.max_active_threads = max(self.max_active_threads,
+                                      other.max_active_threads)
 
     def scaled(self, factor: float) -> "PhaseCounters":
         """Return a copy with every additive count multiplied by ``factor``."""
-        out = PhaseCounters()
-        for f in fields(self):
-            if f.name == "max_active_threads":
-                out.max_active_threads = self.max_active_threads
-            else:
-                setattr(out, f.name, getattr(self, f.name) * factor)
+        out = PhaseCounters(max_active_threads=self.max_active_threads)
+        mine, theirs = self.__dict__, out.__dict__
+        for name in _ADDITIVE_FIELDS:
+            theirs[name] = mine[name] * factor
         return out
 
     def copy(self) -> "PhaseCounters":
@@ -124,7 +120,14 @@ class PhaseCounters:
         return self.shared_cycles / self.shared_instructions
 
     def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: getattr(self, name) for name in _FIELDS}
+
+
+#: PhaseCounters' field names in declaration order, and the additive
+#: ones (all but the peak ``max_active_threads``); looked up once, not
+#: per ``merge`` -- a ledger total merges every phase.
+_FIELDS = tuple(f.name for f in fields(PhaseCounters))
+_ADDITIVE_FIELDS = tuple(n for n in _FIELDS if n != "max_active_threads")
 
 
 @dataclass

@@ -12,7 +12,7 @@ touching kernel code.
 
 The registry is deliberately dependency-free (no ``repro`` imports) so
 the simulator can emit into it without an import cycle, and the
-disabled path is one truthiness check on the subscriber list.
+disabled path is one truthiness check on the subscriber tuple.
 """
 
 from __future__ import annotations
@@ -44,22 +44,28 @@ class CallbackInfo:
 
 Subscriber = Callable[[CallbackInfo], None]
 
-_subscribers: list[Subscriber] = []
+#: Rebuilt, never mutated, by (un)subscribe: :func:`emit` iterates the
+#: tuple it read, a snapshot without a per-callback copy.
+_subscribers: tuple[Subscriber, ...] = ()
 
 
 def subscribe(fn: Subscriber) -> Subscriber:
     """Register ``fn`` for every future callback; returns the handle
     to pass to :func:`unsubscribe`."""
-    _subscribers.append(fn)
+    global _subscribers
+    _subscribers = (*_subscribers, fn)
     return fn
 
 
 def unsubscribe(handle: Subscriber) -> None:
     """Remove a subscriber; unknown handles are ignored."""
+    global _subscribers
+    subscribers = list(_subscribers)
     try:
-        _subscribers.remove(handle)
+        subscribers.remove(handle)
     except ValueError:
-        pass
+        return
+    _subscribers = tuple(subscribers)
 
 
 def has_subscribers() -> bool:
@@ -69,11 +75,12 @@ def has_subscribers() -> bool:
 def emit(domain: str, site: str, **payload: Any) -> None:
     """Deliver a callback to every subscriber.
 
-    With no subscribers this is a single list check -- cheap enough to
-    call unconditionally from the executor's inner loop.
+    With no subscribers this is a single tuple check -- cheap enough
+    to call unconditionally from the executor's inner loop.
     """
-    if not _subscribers:
+    subscribers = _subscribers
+    if not subscribers:
         return
     info = CallbackInfo(domain, site, payload)
-    for fn in list(_subscribers):
+    for fn in subscribers:
         fn(info)

@@ -35,10 +35,12 @@ Determinism
 -----------
 ``Collector(seed=...)`` derives span/event ids from
 :func:`repro.gpusim.pool.derive_seed`-style counters instead of the
-arrival counter alone, and :class:`TickClock` replaces
-``time.perf_counter`` with a deterministic tick, so two identical
-seeded runs export bitwise-identical JSONL span logs
-(:func:`deterministic_collector` bundles both).
+arrival counter alone (minted :data:`ID_BLOCK` at a time by
+:func:`repro.gpusim.pool.derive_seed_block`, same values), and
+:class:`TickClock` replaces ``time.perf_counter`` with a
+deterministic tick, so two identical seeded runs export
+bitwise-identical JSONL span logs (:func:`deterministic_collector`
+bundles both).
 """
 
 from __future__ import annotations
@@ -52,6 +54,10 @@ from . import callbacks as cb
 from .metrics import MetricsRegistry
 from .spans import (LiveSpan, NOOP_SPAN, EventRecord, NoopSpan,
                     SpanRecord)
+
+#: Seeded span/event ids minted per block; only the current block of
+#: each kind is kept.
+ID_BLOCK = 4096
 
 
 class TickClock:
@@ -112,6 +118,8 @@ class Collector:
         self._sim_stack: list[SpanRecord] = []
         self._next_id = 1
         self._next_event_id = 1
+        #: kind -> (first counter, ids) of the current id block.
+        self._id_blocks: dict[str, tuple[int, list[int]]] = {}
         self._by_id: dict[int, SpanRecord] = {}
         self._handle = None
 
@@ -132,11 +140,22 @@ class Collector:
 
     # -- ids -----------------------------------------------------------
 
+    def _minted(self, kind: str, counter: int) -> int:
+        """``derive_seed(self.seed, kind, counter)``, served from the
+        current block of :data:`ID_BLOCK` ids of ``kind``."""
+        start, ids = self._id_blocks.get(kind, (0, ()))
+        if not start <= counter < start + len(ids):
+            from repro.gpusim.pool import derive_seed_block
+            start, ids = self._id_blocks[kind] = (
+                counter, derive_seed_block((self.seed, kind), counter,
+                                           ID_BLOCK))
+        return ids[counter - start]
+
     def _derive_id(self, kind: str, counter: int) -> int:
-        from repro.gpusim.pool import derive_seed
         salt = 0
-        ident = derive_seed(self.seed, kind, counter)
+        ident = self._minted(kind, counter)
         while ident in self._by_id:      # deterministic collision bump
+            from repro.gpusim.pool import derive_seed
             salt += 1
             ident = derive_seed(self.seed, kind, counter, salt)
         return ident
@@ -153,8 +172,7 @@ class Collector:
         self._next_event_id += 1
         if self.seed is None:
             return counter
-        from repro.gpusim.pool import derive_seed
-        return derive_seed(self.seed, "event", counter)
+        return self._minted("event", counter)
 
     # -- spans / events ------------------------------------------------
 
@@ -231,13 +249,11 @@ class Collector:
                 device=p["device"],
                 span_id=(self._stack[-1].span_id if self._stack else None))
             self.launches.append(rec)
-            span = self.start_span(f"sim.launch:{rec.kernel}",
-                                   {"kernel": rec.kernel,
-                                    "num_blocks": rec.num_blocks,
-                                    "threads_per_block":
-                                        rec.threads_per_block})
-            span.__enter__()
-            self._sim_stack.append(span.record)
+            self._enter_sim_span(f"sim.launch:{rec.kernel}",
+                                 {"kernel": rec.kernel,
+                                  "num_blocks": rec.num_blocks,
+                                  "threads_per_block":
+                                      rec.threads_per_block})
             self.metrics.counter(
                 "sim.launches",
                 "simulated kernel launches").inc(kernel=rec.kernel)
@@ -261,22 +277,22 @@ class Collector:
                             name, "per-block ledger totals").inc(
                                 amount, kernel=rec.kernel)
             if self._sim_stack:
-                record = self._sim_stack.pop()
-                record.wall_dur_s = self._now() - record.wall_start_s
-                if record in self._stack:
-                    self._stack.remove(record)
+                self._exit_span(self._sim_stack.pop())
 
     def _on_phase(self, info: cb.CallbackInfo) -> None:
         name = info.payload.get("name", "?")
         if info.site == cb.SITE_BEGIN:
-            span = self.start_span(f"sim.phase:{name}", {"phase": name})
-            span.__enter__()
-            self._sim_stack.append(span.record)
+            self._enter_sim_span(f"sim.phase:{name}", {"phase": name})
         elif self._sim_stack:
-            record = self._sim_stack.pop()
-            record.wall_dur_s = self._now() - record.wall_start_s
-            if record in self._stack:
-                self._stack.remove(record)
+            self._exit_span(self._sim_stack.pop())
+
+    def _enter_sim_span(self, name: str, attrs: dict[str, Any]) -> None:
+        """:meth:`start_span` + enter for a callback span, without the
+        :class:`LiveSpan` wrapper the callbacks never hand out."""
+        record = SpanRecord(span_id=self._new_span_id(), parent_id=None,
+                            name=name, attrs=attrs)
+        self._enter_span(record)
+        self._sim_stack.append(record)
 
     def _on_step(self, info: cb.CallbackInfo) -> None:
         p = info.payload

@@ -24,6 +24,7 @@ bucket, i.e. a relative error of at most ``1/SUBBUCKETS`` per edge).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Any, Iterable
@@ -434,7 +435,24 @@ def record_fuzz_case(status: str) -> None:
 
 
 def _labelkey(labels: dict[str, Any]) -> LabelKey:
-    return tuple(sorted((k, str(v)) for k, v in labels.items()))
+    if _MEMO_TYPES.issuperset(map(type, labels.values())):
+        return _memo_labelkey(tuple(labels.items()))
+    return _sorted_labelkey(labels.items())
+
+
+#: Label value types the memo admits.  Equal values of these types
+#: share a type and a ``str()``; other types can equal one of them and
+#: print differently (``True``, ``1.0`` and ``1``; ``-0.0`` and
+#: ``0.0``), and unhashable ones cannot key a cache, so all of those
+#: take the direct path.
+_MEMO_TYPES = frozenset((str, int, type(None)))
+
+
+def _sorted_labelkey(items: Iterable[tuple[str, Any]]) -> LabelKey:
+    return tuple(sorted((k, str(v)) for k, v in items))
+
+
+_memo_labelkey = functools.lru_cache(maxsize=4096)(_sorted_labelkey)
 
 
 def _labelstr(key: LabelKey) -> str:

@@ -18,9 +18,13 @@ from dataclasses import dataclass, field
 from typing import Any
 
 
-@dataclass
+@dataclass(eq=False)
 class SpanRecord:
-    """One finished (or still-open) span on the wall-clock timeline."""
+    """One finished (or still-open) span on the wall-clock timeline.
+
+    Records compare by identity: the collector finds a span on its
+    open-span stack with ``is``, never by comparing every field.
+    """
 
     span_id: int
     parent_id: int | None
@@ -39,7 +43,7 @@ class SpanRecord:
         self.attrs[key] = value
 
 
-@dataclass
+@dataclass(eq=False)
 class EventRecord:
     """Point-in-time event, attributed to the innermost open span."""
 

@@ -63,6 +63,30 @@ class TestRegistry:
         assert seen == []
         assert not cb.has_subscribers()
 
+    def test_emit_delivers_to_the_subscribers_it_started_with(self):
+        seen = []
+
+        def late(info):
+            seen.append(("late", info.site))
+
+        def first(info):
+            seen.append(("first", info.site))
+            cb.unsubscribe(first)
+            cb.subscribe(late)
+
+        def second(info):
+            seen.append(("second", info.site))
+        handles = [cb.subscribe(first), cb.subscribe(second)]
+        try:
+            cb.emit(cb.DOMAIN_PHASE, cb.SITE_BEGIN, name="p")
+            cb.emit(cb.DOMAIN_PHASE, cb.SITE_END, name="p")
+        finally:
+            for handle in (*handles, late):
+                cb.unsubscribe(handle)
+        assert seen == [("first", "begin"), ("second", "begin"),
+                        ("second", "end"), ("late", "end")]
+        assert not cb.has_subscribers()
+
 
 class TestCollectorIntegration:
     def test_collect_records_launch_and_metrics(self):

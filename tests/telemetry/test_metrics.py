@@ -27,6 +27,19 @@ class TestCounter:
         c.inc(1.0, b=2, a=1)
         assert c.value(a=1, b=2) == 2.0
 
+    def test_equal_values_that_print_differently_stay_separate(self):
+        # 1 == 1.0 == True and 0.0 == -0.0, but each labels its own
+        # series; repeated lookups go through the label-key memo.
+        c = Counter("x")
+        values = [1, 1.0, True, 0.0, -0.0, "x", None, (1,), [1]]
+        for _ in range(2):
+            for v in values:
+                c.inc(1.0, v=v)
+        assert len(c.series) == len(values)
+        assert all(total == 2.0 for total in c.series.values())
+        assert ((("v", "True"),) in c.series
+                and (("v", "-0.0"),) in c.series)
+
     def test_negative_increment_rejected(self):
         with pytest.raises(ValueError):
             Counter("x").inc(-1)

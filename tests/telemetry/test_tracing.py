@@ -1,8 +1,15 @@
 """Trace-context propagation, deterministic ids, and exposition."""
 
 import json
+from unittest import mock
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import telemetry
+from repro.gpusim import pool
+from repro.gpusim.pool import derive_seed
+from repro.telemetry import collector as collector_mod
 from repro.telemetry.collector import (Collector, TickClock,
                                        deterministic_collector)
 from repro.telemetry.export import (prometheus_text, to_jsonl, trace_trees,
@@ -102,6 +109,50 @@ class TestDeterministicIds:
                     pass
         ids = [s.span_id for s in col.spans]
         assert len(ids) == len(set(ids))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.sampled_from([0, 7, 2**32 - 1, 2**32]),
+           kind=st.sampled_from(["span", "event"]),
+           start=st.one_of(st.integers(1, 100),
+                           st.integers(2**32 - 40, 2**32 + 5)),
+           count=st.integers(1, 60))
+    def test_block_minted_ids_equal_derive_seed(self, seed, kind, start,
+                                                count):
+        # Small blocks, so a run of counters crosses several of them.
+        col = Collector(seed=seed)
+        with mock.patch.object(collector_mod, "ID_BLOCK", 16):
+            ids = [col._minted(kind, c) for c in range(start, start + count)]
+        assert ids == [derive_seed(seed, kind, c)
+                       for c in range(start, start + count)]
+
+    def test_collision_bump_yields_the_salted_id(self):
+        col = deterministic_collector(seed=3)
+        taken = [derive_seed(3, "span", 1), derive_seed(3, "span", 1, 1)]
+        for ident in taken:
+            col._by_id[ident] = None
+        with telemetry.collect(col):
+            with telemetry.span("s"):
+                pass
+        assert col.spans[0].span_id == derive_seed(3, "span", 1, 2)
+
+    def test_scalar_derive_seed_only_checks_each_block(self, monkeypatch):
+        calls = []
+        real = pool.derive_seed
+
+        def spy(*parts):
+            calls.append(parts)
+            return real(*parts)
+        monkeypatch.setattr(pool, "derive_seed", spy)
+        col = deterministic_collector(seed=11)
+        with telemetry.collect(col):
+            for _ in range(10_000):
+                with telemetry.span("s"):
+                    pass
+            for _ in range(1_000):
+                telemetry.event("e")
+        assert len({s.span_id for s in col.spans}) == 10_000
+        assert calls == [(11, "span", 1), (11, "span", 4097),
+                         (11, "span", 8193), (11, "event", 1)]
 
     def test_unseeded_collector_uses_plain_counters(self):
         col = Collector()
